@@ -180,31 +180,32 @@ def cmd_bench_iss(args) -> int:
         measure_legacy_full=args.full,
     )
     medium = report["engine_comparison_medium"]
-    full = report["matmul_full_fast"]
+    sb = report["superblock"]
     suite = report["suite_study"]
     print(
-        f"fast vs legacy (medium matmul): "
-        f"{medium['speedup_fast_over_legacy']:.1f}x "
+        f"superblock vs legacy (medium matmul): "
+        f"{medium['speedup_superblock_over_legacy']:.1f}x "
         f"(bit-identical: {medium['bit_identical']})"
     )
     print(
-        f"full matmul (fast): {full['wall_seconds']:.2f}s, "
-        f"{full['mips']:.1f} MIPS, "
-        f"cycles match paper: {full['cycles_match_paper']}"
-    )
-    sb = report["superblock"]
-    print(
         f"full matmul (superblock): {sb['wall_seconds']:.2f}s, "
-        f"{sb['speedup_superblock_over_fast']:.2f}x over fast "
-        f"(bit-identical: {sb['bit_identical']})"
+        f"{sb['mips']:.1f} MIPS, "
+        f"cycles match paper: {sb['cycles_match_paper']}"
     )
+    if "matmul_full_legacy" in report:
+        lf = report["matmul_full_legacy"]
+        print(
+            f"full matmul (legacy): {lf['wall_seconds']:.2f}s, "
+            f"superblock {lf['speedup_superblock_over_legacy']:.1f}x faster "
+            f"(bit-identical: {lf['bit_identical']})"
+        )
     vec = report["vector_lanes"]
     print(f"vector N=1 bit-identical: {vec['n1_bit_identical']}")
     for n_lanes in (8, 16, 32, 64):
         row = vec[f"n{n_lanes}"]
         print(
             f"vector N={n_lanes:<3d}: {row['aggregate_mips']:6.1f} MIPS "
-            f"aggregate ({row['speedup_vs_fast']:.1f}x fast path, "
+            f"aggregate ({row['speedup_vs_superblock']:.1f}x superblock, "
             f"correct: {row['all_correct']})"
         )
     if suite["parallel_comparison_valid"]:

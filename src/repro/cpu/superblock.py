@@ -1,19 +1,25 @@
 """Superblock-translating execution engine for the Cortex-M0 ISS.
 
-:class:`~repro.cpu.fastpath.FastEngine` pays one Python call, one
-per-mnemonic ``Counter`` update, and one ``regs[15]`` store per
-instruction.  This engine extends it by *translating* straight-line runs
-of instructions ("superblocks": everything up to the next BL, BKPT, or
-multi-access memory op, *including* a terminating conditional or
-unconditional branch) into a single exec-compiled Python function,
-executed as one call per block:
+The legacy :meth:`~repro.cpu.simulator.CortexM0.step` re-decodes every
+instruction on every execution: a ~20-branch mask cascade, field
+extraction, and a region scan per memory access.  Programs live in
+program memory that (almost) never changes, so this engine decodes each
+run of instructions *once* and translates it into a single
+exec-compiled Python function, executed as one call per block.
 
-- **Batched constant accounting.**  Every straight-line instruction has
-  a constant cycle count, load/store count, mnemonic, and
-  register-write count, so a block's totals are compile-time constants.
-  The run loop bumps one per-block execution counter; cycles accumulate
-  in a loop local; per-mnemonic counts, loads/stores, and
-  ``register_writes`` flush as ``constant * executions`` at run exit.
+A block ("superblock") is a straight-line run of up to ``_MAX_BLOCK``
+instructions ending at the first terminator: an instruction that writes
+the PC (B, B<cond>, BL, BX/BLX, ``add pc``/``mov pc``,
+``pop {..., pc}``) or BKPT.  A lone instruction between two terminators
+is a one-instruction block.
+
+- **Batched constant accounting.**  Every instruction has a constant
+  cycle count (a taken B<cond> adds its extra cycles in the block
+  tail), load/store count, mnemonic, and register-write count, so a
+  block's totals are compile-time constants.  The run loop bumps one
+  per-block execution counter; cycles accumulate in a loop local;
+  per-mnemonic counts, loads/stores, and ``register_writes`` flush as
+  ``constant * executions`` at run exit.
 - **Flag liveness.**  Within a block, N/Z/C/V stores are emitted only
   when a later reader (ADC/SBC, a potentially faulting memory access,
   or the block exit) can observe them — dead flag writes cost nothing.
@@ -23,14 +29,16 @@ executed as one call per block:
 Bit-identity with the legacy engine is preserved exactly, including the
 awkward cases:
 
-- **Faults mid-block** (misaligned/unmapped accesses): the generated
-  code tracks the index of the active memory instruction and, on any
-  exception, restores registers, sets ``regs[15]`` to the faulting pc,
-  and stashes a precomputed partial-progress tuple (instructions,
-  cycles, loads, stores, register writes, per-mnemonic counts for the
-  completed prefix — including the faulting instruction's mnemonic
-  exactly when the legacy decoder counts it before the access) that
-  ``run()`` merges in its ``finally`` clause before re-raising.
+- **Faults mid-block** (misaligned/unmapped accesses): every memory
+  access is a numbered fault point.  The generated code tracks the
+  active point and, on any exception, restores registers, sets
+  ``regs[15]`` to the faulting pc, and stashes a precomputed
+  partial-progress tuple (instructions, cycles, loads, stores, register
+  writes, per-mnemonic counts for the completed prefix — including the
+  faulting instruction's mnemonic exactly when the legacy decoder
+  counts it before the access, and the loads/stores/register writes a
+  PUSH/POP/LDM/STM completed before its faulting access) that ``run()``
+  merges in its ``finally`` clause before re-raising.
 - **Self-modifying code**: stores that reach the program region
   invalidate the block cache (block granularity: every translated
   block drops).  The generated code checks the cache generation after
@@ -40,10 +48,12 @@ awkward cases:
 - **Cycle limits**: a block only runs when the budget covers every
   intermediate pre-instruction check the legacy loop would make
   (``cycles + guard < max_cycles`` where ``guard`` is the cycle prefix
-  before the block's terminating instruction); otherwise execution
-  falls back
-  to the per-instruction dispatch table, which raises the identical
-  ``cycle limit N exceeded`` error at the identical instruction.
+  before the block's last instruction).
+
+Everything else — undefined encodings, code outside the program region,
+a BL without its suffix, and a block whose cycle guard would cross
+``max_cycles`` — runs through one legacy ``step()``, the single
+reference decoder, which counts and raises identically.
 """
 
 from __future__ import annotations
@@ -52,10 +62,31 @@ import re
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.cpu.fastpath import FastEngine, _Halt, _hamming
-from repro.errors import ExecutionError, MemoryAccessError
+from repro.errors import ExecutionError
 
 _MASK32 = 0xFFFFFFFF
+
+if hasattr(int, "bit_count"):  # Python >= 3.10
+    def _hamming(x: int) -> int:
+        return x.bit_count()
+else:  # pragma: no cover - exercised only on 3.9
+    def _hamming(x: int) -> int:
+        return bin(x).count("1")
+
+
+class _Halt(Exception):
+    """Internal signal: a BKPT block stopped the core."""
+
+
+class _NullTrace:
+    """Toggle sink used when no ActivityTrace is attached."""
+
+    __slots__ = ("register_writes", "register_toggles")
+
+    def __init__(self) -> None:
+        self.register_writes = 0
+        self.register_toggles = 0
+
 
 #: Register-write toggle pattern, rewritten in vector blocks to the
 #: pair-journaling form ``H2(old, new)`` so the XOR happens in bulk at
@@ -67,10 +98,6 @@ _VEC_TOGGLE_RE = re.compile(r"tg \+= H\((r\d+) \^ v\)")
     B_FN, B_CYC, B_GUARD, B_EXECS, B_K, B_LD, B_ST, B_WR, B_PM, B_TB,
 ) = range(10)
 
-#: Minimum run length worth translating; shorter runs use the parent
-#: per-instruction handlers (marked ``False`` in the block cache).
-_MIN_BLOCK = 2
-
 #: Maximum instructions fused into one block.
 _MAX_BLOCK = 48
 
@@ -78,9 +105,9 @@ _ALL_FLAGS = frozenset("nzcv")
 _NZ = frozenset("nz")
 _NZC = frozenset("nzc")
 
-#: Condition-code expressions over the live APSR, mirroring
-#: :func:`repro.cpu.fastpath._cond_fn` case for case (indices 0..13;
-#: 0xE is undefined and 0xF is SVC, neither of which fuses).
+#: Condition-code expressions over the live APSR, indexed by condition
+#: (0..13; 0xE is undefined and 0xF is SVC, neither of which is a
+#: branch).
 _COND_EXPR = (
     "R.z", "not R.z", "R.c", "not R.c", "R.n", "not R.n", "R.v",
     "not R.v", "R.c and not R.z", "(not R.c) or R.z", "R.n == R.v",
@@ -88,51 +115,34 @@ _COND_EXPR = (
 )
 
 
-class _FusedBranch:
-    """A conditional or unconditional branch terminating a block.
+def _jump(target: str) -> Tuple[List[str], List[str]]:
+    """Scalar and vector tails for a jump to the ``target`` expression.
 
-    ``base_cycles`` joins the block's constant cycle total; the tail
-    code returns the *extra* cycles beyond that base (2 for a taken
-    conditional branch, 0 otherwise).  ``taken_const`` is the
-    per-execution ``taken_branches`` increment when it is a constant
-    (unconditional branches); data-dependent outcomes bump the stats
-    object directly in the tail.
+    Vector blocks route the target through ``eng._uniform_target``: a
+    lane-varying PC cannot be followed in lockstep.
     """
-
-    __slots__ = ("mnem", "base_cycles", "taken_const", "_lines", "_vec_lines")
-
-    def __init__(
-        self,
-        mnem: str,
-        base_cycles: int,
-        taken_const: int,
-        lines: List[str],
-        vec_lines: Optional[List[str]] = None,
-    ) -> None:
-        self.mnem = mnem
-        self.base_cycles = base_cycles
-        self.taken_const = taken_const
-        self._lines = lines
-        self._vec_lines = vec_lines if vec_lines is not None else lines
-
-    def tail(self) -> List[str]:
-        return self._lines
-
-    def vector_tail(self) -> List[str]:
-        """Tail for N-lane blocks: flags may be arrays, so conditional
-        outcomes resolve through ``eng._vec_branch`` (uniform -> extra
-        cycles, divergent -> a divergence object the vector run loop
-        handles)."""
-        return self._vec_lines
+    return (
+        [f"regs[15] = {target}", "return 0"],
+        [f"regs[15] = eng._uniform_target({target})", "return 0"],
+    )
 
 
 class _Insn:
-    """One classified straight-line instruction inside a block."""
+    """One classified instruction inside a block.
+
+    ``points`` lists, per memory access the instruction makes, the
+    (loads, stores, register writes) the legacy decoder has already
+    tallied when that access faults.  ``tail`` (terminators only) is
+    emitted after the register write-back; it sets ``regs[15]`` and
+    returns the cycles beyond the constant ``cycles`` (a taken B<cond>
+    returns 2).  ``taken`` is the constant ``taken_branches`` increment
+    of one execution.
+    """
 
     __slots__ = (
         "pc", "mnem", "cycles", "loads", "stores", "writes",
-        "fw", "fkill", "fr", "faultable", "pm_on_fault",
-        "reads_regs", "writes_regs", "gen",
+        "fw", "fkill", "fr", "points", "pm_on_fault",
+        "reads_regs", "writes_regs", "gen", "taken", "tail", "vec_tail",
     )
 
     def __init__(
@@ -151,6 +161,10 @@ class _Insn:
         pm_on_fault: bool = False,
         reads_regs: Tuple[int, ...] = (),
         writes_regs: Tuple[int, ...] = (),
+        points: Optional[Tuple[Tuple[int, int, int], ...]] = None,
+        taken: int = 0,
+        tail: Optional[List[str]] = None,
+        vec_tail: Optional[List[str]] = None,
     ) -> None:
         self.pc = pc
         self.mnem = mnem
@@ -163,15 +177,25 @@ class _Insn:
         # shift-by-register ops write C only when the shift is nonzero.
         self.fkill = fw if fkill is None else fkill
         self.fr = fr
-        self.faultable = faultable
+        if points is None:
+            points = ((0, 0, 0),) if faultable else ()
+        self.points = points
         self.pm_on_fault = pm_on_fault
         self.reads_regs = reads_regs
         self.writes_regs = writes_regs
         self.gen = gen
+        self.taken = taken
+        self.tail = tail
+        self.vec_tail = vec_tail if vec_tail is not None else tail
 
 
-class SuperblockEngine(FastEngine):
-    """FastEngine with straight-line runs fused into translated blocks."""
+def _no_code(i, mat, ctx) -> List[str]:
+    """Generator for instructions whose whole effect is accounting."""
+    return []
+
+
+class SuperblockEngine:
+    """Per-CPU block cache of translated straight-line runs."""
 
     # Flipped by the N-lane vector subclass: switches block codegen to
     # array-safe emission (helper-based memory, deferred branch tails).
@@ -186,23 +210,115 @@ class SuperblockEngine(FastEngine):
     _toggle_hash2: Any = None
 
     def __init__(self, cpu) -> None:
+        self.cpu = cpu
+        mem = cpu.memory
+        self.prog = mem.region("program")
+        self.data = mem.region("data")
+        self.regs_list = cpu.regs._regs
         self.blocks: Dict[int, Any] = {}
         self._generation = 0
         self._partial: Optional[tuple] = None
-        super().__init__(cpu)
-        # Engine-health tallies (cold paths only), mirrored into the
-        # observability counters by the workload runner.
+        self._decoded_version = self.prog.version
+        self._null_trace = _NullTrace()
+        self._mem_helpers = self._make_mem_helpers(mem, self.prog, self.data)
+        # Engine-health tallies, read by the observability layer after a
+        # run.  Plain ints bumped only at cold points (fallback steps,
+        # invalidations, block flushes) — never per instruction.
+        self.fallback_steps = 0
+        self.invalidations = 0
         self.blocks_translated = 0
         self.block_execs = 0
         self.block_steps = 0
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Program memory changed: drop blocks and per-PC handlers."""
+        """Program memory changed: drop every translated block."""
         self._flush_blocks()
         self.blocks.clear()
         self._generation += 1
-        super().invalidate()
+        self._decoded_version = self.prog.version
+        self.invalidations += 1
+
+    # ------------------------------------------------------------------
+    def _make_mem_helpers(self, mem, prog, data):
+        """Region-resolved data access closures shared by all blocks.
+
+        The clean in-bounds aligned case skips the per-access region
+        scan; everything else (misalignment, spills, unmapped addresses,
+        program-region stores) delegates to the legacy
+        :meth:`MemoryMap.read`/:meth:`MemoryMap.write`, which raises the
+        identical errors and keeps the identical counting discipline.
+        """
+        prog_base, prog_end = prog.base, prog.end
+        prog_data, prog_counters = prog.data, prog.counters
+        data_base, data_end = data.base, data.end
+        data_bytes, data_counters = data.data, data.counters
+        mem_read = mem.read
+        mem_write = mem.write
+        invalidate = self.invalidate
+        from_bytes = int.from_bytes
+
+        def read32(a):
+            if data_base <= a and a + 4 <= data_end and not a & 3:
+                data_counters.reads += 1
+                o = a - data_base
+                return from_bytes(data_bytes[o:o + 4], "little")
+            if prog_base <= a and a + 4 <= prog_end and not a & 3:
+                prog_counters.reads += 1
+                o = a - prog_base
+                return from_bytes(prog_data[o:o + 4], "little")
+            return mem_read(a, 4)
+
+        def read16(a):
+            if data_base <= a and a + 2 <= data_end and not a & 1:
+                data_counters.reads += 1
+                o = a - data_base
+                return from_bytes(data_bytes[o:o + 2], "little")
+            if prog_base <= a and a + 2 <= prog_end and not a & 1:
+                prog_counters.reads += 1
+                o = a - prog_base
+                return from_bytes(prog_data[o:o + 2], "little")
+            return mem_read(a, 2)
+
+        def read8(a):
+            if data_base <= a < data_end:
+                data_counters.reads += 1
+                return data_bytes[a - data_base]
+            if prog_base <= a < prog_end:
+                prog_counters.reads += 1
+                return prog_data[a - prog_base]
+            return mem_read(a, 1)
+
+        def write32(a, v):
+            if data_base <= a and a + 4 <= data_end and not a & 3:
+                data_counters.writes += 1
+                o = a - data_base
+                data_bytes[o:o + 4] = (v & 0xFFFFFFFF).to_bytes(4, "little")
+                return
+            mem_write(a, v, 4)
+            if prog_base <= a < prog_end:
+                invalidate()
+
+        def write16(a, v):
+            if data_base <= a and a + 2 <= data_end and not a & 1:
+                data_counters.writes += 1
+                o = a - data_base
+                data_bytes[o:o + 2] = (v & 0xFFFF).to_bytes(2, "little")
+                return
+            mem_write(a, v, 2)
+            if prog_base <= a < prog_end:
+                invalidate()
+
+        def write8(a, v):
+            if data_base <= a < data_end:
+                data_counters.writes += 1
+                data_bytes[a - data_base] = v & 0xFF
+                return
+            mem_write(a, v, 1)
+            if prog_base <= a < prog_end:
+                invalidate()
+
+        return read32, read16, read8, write32, write16, write8
 
     # ------------------------------------------------------------------
     def _flush_blocks(self) -> None:
@@ -257,18 +373,12 @@ class SuperblockEngine(FastEngine):
             self.invalidate()
         stats = cpu.stats
         regs = self.regs_list
-        table = self.table
-        decode = self._decode
         bget = self.blocks.get
         translate = self._translate
-        prog_base = self.prog.base
-        prog_counters = self.prog.counters
         trace = cpu.trace
         cycles = stats.cycles
         base_cycles = cycles
         trace_base = trace.cycles if trace is not None else 0
-        steps = 0
-        flushed_steps = 0
         if cpu.halted:
             return stats
         try:
@@ -280,59 +390,40 @@ class SuperblockEngine(FastEngine):
                     )
                 pc = regs[15]
                 b = bget(pc)
-                if b is None and prog_base <= pc:
+                if b is None:
                     b = translate(pc)
+                # Literal slot indices (B_GUARD, B_FN, B_EXECS, B_CYC):
+                # this loop runs once per block execution.
                 if b and cycles + b[2] < max_cycles:
                     extra = b[0]()
                     if extra is not None:
-                        # Normal exit: ``extra`` is the terminating
-                        # branch's cycles beyond the not-taken base
-                        # (0 for blocks without a fused branch).
+                        # Normal exit: ``extra`` is the terminator's
+                        # cycles beyond its constant base.
                         b[3] += 1
                         cycles += b[1] + extra
                         continue
                     # Early exit: a store invalidated the block cache.
                     cycles = self._merge_partial(cycles)
                     continue
-                h = None
-                if prog_base <= pc:
-                    try:
-                        h = table[pc - prog_base]
-                    except IndexError:
-                        pass
-                    else:
-                        if h is None:
-                            h = decode(pc)
-                if h is not None:
-                    steps += 1
-                    cycles += h()
-                else:
-                    # Executing outside the predecoded program region:
-                    # flush and take one legacy step, which decodes,
-                    # counts, and raises identically.
-                    delta = steps - flushed_steps
-                    flushed_steps = steps
-                    prog_counters.reads += delta
-                    stats.instructions += delta
-                    self._flush_blocks()
-                    stats.cycles = cycles
-                    if trace is not None:
-                        trace.cycles = trace_base + (cycles - base_cycles)
-                    cpu.step()
-                    self.fallback_steps += 1
-                    cycles = stats.cycles
-                    if cpu.halted:
-                        break
+                # Cold fallback: flush and take one legacy step, which
+                # decodes, counts, and raises identically.
+                self._flush_blocks()
+                stats.cycles = cycles
+                if trace is not None:
+                    trace.cycles = trace_base + (cycles - base_cycles)
+                cpu.step()
+                self.fallback_steps += 1
+                cycles = stats.cycles
+                if self._decoded_version != self.prog.version:
+                    self.invalidate()
+                if cpu.halted:
+                    break
         except _Halt:
-            cycles += 1  # the BKPT cycle
+            pass  # the BKPT block's partial tuple carries its cycle
         finally:
             cycles = self._merge_partial(cycles)
-            delta = steps - flushed_steps
-            prog_counters.reads += delta
-            stats.instructions += delta
             self._flush_blocks()
             stats.cycles = cycles
-            self.fast_steps += steps
             if trace is not None:
                 trace.cycles = trace_base + (cycles - base_cycles)
         return stats
@@ -341,107 +432,40 @@ class SuperblockEngine(FastEngine):
     # Translation
     # ------------------------------------------------------------------
     def _translate(self, start: int):
-        """Classify the straight-line run at ``start`` and compile it.
+        """Classify the run at ``start`` and compile it.
 
-        Returns the block list, or ``False`` (cached) when the run is
-        too short to be worth fusing.
+        Returns the block list, or ``False`` (cached) when the first
+        instruction needs the legacy fallback.
         """
         mem = self.cpu.memory
-        prog_end = self.prog.end
+        prog_base, prog_end = self.prog.base, self.prog.end
         insns: List[_Insn] = []
-        branch = None
         pc = start
         while len(insns) < _MAX_BLOCK:
-            if pc < self.prog.base or pc + 2 > prog_end or pc & 1:
+            if pc < prog_base or pc + 2 > prog_end or pc & 1:
                 break
-            try:
-                raw = mem.read(pc, 2, count=False)
-            except MemoryAccessError:
-                break
-            d = self._classify(pc, raw)
+            d = self._classify(pc, mem.read(pc, 2, count=False))
             if d is None:
-                if insns:
-                    branch = self._classify_branch(pc, raw)
                 break
             insns.append(d)
+            if d.tail is not None:
+                break
             pc += 2
-        if len(insns) + (1 if branch else 0) < _MIN_BLOCK:
+        if not insns:
             self.blocks[start] = False
             return False
-        block = self._compile(start, insns, branch)
+        block = self._compile(start, insns)
         self.blocks[start] = block
         self.blocks_translated += 1
         return block
 
     # ------------------------------------------------------------------
-    def _classify_branch(self, pc: int, insn: int) -> Optional[_FusedBranch]:
-        """Classify a block-terminating branch for fusion, or ``None``.
-
-        Mirrors the conditional/unconditional branch handlers in
-        :meth:`FastEngine._build`: ``bcond`` costs 3 cycles taken / 1
-        not taken, ``b`` always 3, and both count one ``taken_branches``
-        per taken execution.
-        """
-        if (insn & 0xF800) == 0xE000:
-            offset = insn & 0x7FF
-            if offset & 0x400:
-                offset -= 0x800
-            target = (pc + 4 + (offset << 1)) & _MASK32
-            return _FusedBranch(
-                "b", 3, 1, [f"regs[15] = {target}", "return 0"]
-            )
-        if (insn & 0xF000) == 0xD000:
-            cond = (insn >> 8) & 0xF
-            if cond >= 0xE:  # 0xE undefined, 0xF SVC
-                return None
-            offset = insn & 0xFF
-            if offset & 0x80:
-                offset -= 0x100
-            taken_pc = (pc + 4 + (offset << 1)) & _MASK32
-            if cond < 8:
-                # Single-flag condition: when the flag is a plain bool
-                # (lane-uniform), resolve inline; anything else (an
-                # array, a NumPy scalar) defers to _vec_branch.
-                flag = "zzccnnvv"[cond]
-                want = "True" if (cond & 1) == 0 else "False"
-                other = "False" if want == "True" else "True"
-                vec_lines = [
-                    f"f_ = R.{flag}",
-                    f"if f_ is {want}:",
-                    "    st.taken_branches += 1",
-                    f"    regs[15] = {taken_pc}",
-                    "    return 2",
-                    f"if f_ is {other}:",
-                    f"    regs[15] = {pc + 2}",
-                    "    return 0",
-                    f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
-                ]
-            else:
-                vec_lines = [
-                    f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
-                ]
-            return _FusedBranch(
-                "bcond", 1, 0,
-                [
-                    f"if {_COND_EXPR[cond]}:",
-                    "    st.taken_branches += 1",
-                    f"    regs[15] = {taken_pc}",
-                    "    return 2",
-                    f"regs[15] = {pc + 2}",
-                    "return 0",
-                ],
-                vec_lines=vec_lines,
-            )
-        return None
-
-    # ------------------------------------------------------------------
-    def _compile(self, start: int, insns: List[_Insn], branch=None):
+    def _compile(self, start: int, insns: List[_Insn]):
         """Generate, exec, and wrap the fused handler for one block.
 
-        ``branch`` is an optional ``_FusedBranch`` terminating the
-        block; its (possibly data-dependent) cycles and ``regs[15]``
-        update are emitted in the block tail, and its extra-over-base
-        cycles are the generated function's return value.
+        A terminator's (possibly data-dependent) ``regs[15]`` update is
+        emitted in the block tail; its extra-over-base cycles are the
+        generated function's return value.
         """
         k = len(insns)
         # Backward flag liveness: a flag store is emitted only when a
@@ -453,12 +477,11 @@ class SuperblockEngine(FastEngine):
         mats: List[Set[str]] = [set()] * k
         for i in range(k - 1, -1, -1):
             d = insns[i]
-            reads = set(d.fr) | (_ALL_FLAGS if d.faultable else frozenset())
+            reads = set(d.fr) | (_ALL_FLAGS if d.points else frozenset())
             mats[i] = set(d.fw) & live
             live = (live - set(d.fkill)) | reads
 
         # Prefix tables for fault / self-modifying-code exits.
-        pcs = tuple(d.pc for d in insns)
         cyc_prefix = [0] * (k + 1)
         ld_prefix = [0] * (k + 1)
         st_prefix = [0] * (k + 1)
@@ -472,27 +495,32 @@ class SuperblockEngine(FastEngine):
             nxt = Counter(pm_prefix[i])
             nxt[d.mnem] += 1
             pm_prefix.append(nxt)
-        # FLT[i]: legacy state when instruction i faults — its fetch is
-        # counted, its cycles/loads/stores/writes are not, and its
-        # mnemonic is counted only for formats that tally before the
-        # access (register-offset loads/stores).
+        # FLT[p]: legacy state when fault point p faults — the fetch of
+        # its instruction is counted, the cycles are not, the loads,
+        # stores, and writes are those tallied before the access, and
+        # the mnemonic is counted only for formats that tally before the
+        # access (register-offset loads/stores).  PCS[p] is its pc.
+        pcs: List[int] = []
         flt = []
+        first_point = []
         smc = []
         for i, d in enumerate(insns):
             pm_f = Counter(pm_prefix[i])
             if d.pm_on_fault:
                 pm_f[d.mnem] += 1
-            flt.append((
-                i + 1, cyc_prefix[i], ld_prefix[i], st_prefix[i],
-                wr_prefix[i], tuple(pm_f.items()),
-            ))
+            pm_f_items = tuple(pm_f.items())
+            first_point.append(len(flt))
+            for ld, stc, wr in d.points:
+                pcs.append(d.pc)
+                flt.append((
+                    i + 1, cyc_prefix[i], ld_prefix[i] + ld,
+                    st_prefix[i] + stc, wr_prefix[i] + wr, pm_f_items,
+                ))
             smc.append((
                 i + 1, cyc_prefix[i + 1], ld_prefix[i + 1],
                 st_prefix[i + 1], wr_prefix[i + 1],
                 tuple(pm_prefix[i + 1].items()),
             ))
-        flt_t = tuple(flt)
-        smc_t = tuple(smc)
 
         cached = sorted(
             {r for d in insns for r in d.reads_regs}
@@ -500,72 +528,51 @@ class SuperblockEngine(FastEngine):
         )
         written = sorted({r for d in insns for r in d.writes_regs})
         wb = "; ".join(f"regs[{r}] = r{r}" for r in written) or "pass"
-        end_pc = pcs[-1] + 2
+        last = insns[-1]
 
-        k_total = k + (1 if branch else 0)
-        cyc_total = cyc_prefix[k]
-        tb_const = 0
-        pm_total = Counter(pm_prefix[k])
-        if branch:
-            # The terminator executes only after every straight-line
-            # instruction's pre-check passed, so the guard is the full
-            # straight-line prefix.
-            guard = cyc_prefix[k]
-            cyc_total += branch.base_cycles
-            tb_const = branch.taken_const
-            pm_total[branch.mnem] += 1
-        else:
-            guard = cyc_prefix[k - 1]
-
-        lines: List[str] = []
-        lines.append(
-            "def _block(regs=regs, R=R, tr=tr, H=H, H2=H2,"
-        )
-        lines.append(
-            "           from_bytes=from_bytes,"
-        )
-        lines.append(
-            "           data_bytes=data_bytes, data_counters=data_counters,"
-        )
-        lines.append(
-            "           read32=read32, read16=read16, read8=read8,"
-        )
-        lines.append(
-            "           write32=write32, write16=write16, write8=write8):"
-        )
-        lines.append("    tg = 0")
-        lines.append("    _i = 0")
+        lines: List[str] = [
+            "def _block(regs=regs, R=R, tr=tr, H=H, H2=H2,",
+            "           from_bytes=from_bytes,",
+            "           data_bytes=data_bytes, data_counters=data_counters,",
+            "           read32=read32, read16=read16, read8=read8,",
+            "           write32=write32, write16=write16, write8=write8):",
+            "    tg = 0",
+        ]
         for r in cached:
             lines.append(f"    r{r} = regs[{r}]")
-        lines.append("    try:")
         ctx = _GenCtx(self, wb, vector=self._vector)
         body: List[str] = []
         for i, d in enumerate(insns):
+            ctx.index, ctx.pc = i, d.pc
             body.append(f"# {d.pc:#06x} {d.mnem}")
-            body.extend(d.gen(i, mats[i], ctx))
+            body.extend(d.gen(first_point[i], mats[i], ctx))
         if self._vector:
             body = [
                 _VEC_TOGGLE_RE.sub(r"tg += H2(\1, v)", ln) for ln in body
             ]
         if all(ln.startswith("#") for ln in body):
-            body.append("pass")  # e.g. an all-NOP block emits no code
-        for ln in body:
-            lines.append("        " + ln)
-        lines.append("    except Exception:")
-        lines.append(f"        {wb}")
-        lines.append("        regs[15] = PCS[_i]")
-        lines.append("        tr.register_toggles += tg")
-        lines.append("        eng._partial = FLT[_i]")
-        lines.append("        raise")
+            body.append("pass")  # e.g. a lone-branch block emits no code
+        if flt:
+            # Fault protocol: only blocks with memory accesses can fault.
+            lines.append("    _i = 0")
+            lines.append("    try:")
+            lines.extend("        " + ln for ln in body)
+            lines.append("    except Exception:")
+            lines.append(f"        {wb}")
+            lines.append("        regs[15] = PCS[_i]")
+            lines.append("        tr.register_toggles += tg")
+            lines.append("        eng._partial = FLT[_i]")
+            lines.append("        raise")
+        else:
+            lines.extend("    " + ln for ln in body)
         lines.append(f"    {wb}")
         lines.append("    tr.register_toggles += tg")
-        if branch is None:
-            lines.append(f"    regs[15] = {end_pc}")
+        if last.tail is None:
+            lines.append(f"    regs[15] = {last.pc + 2}")
             lines.append("    return 0")
         else:
-            tail = branch.vector_tail() if self._vector else branch.tail()
-            for ln in tail:
-                lines.append("    " + ln)
+            tail = last.vec_tail if self._vector else last.tail
+            lines.extend("    " + ln for ln in tail)
 
         tr = self.cpu.trace if self.cpu.trace is not None else self._null_trace
         r32, r16, r8, w32, w16, w8 = self._mem_helpers
@@ -578,36 +585,37 @@ class SuperblockEngine(FastEngine):
             "from_bytes": int.from_bytes,
             "data_bytes": self.data.data,
             "data_counters": self.data.counters,
+            "prog_counters": self.prog.counters,
             "read32": r32, "read16": r16, "read8": r8,
             "write32": w32, "write16": w16, "write8": w8,
             "eng": self,
             "st": self.cpu.stats,
-            "PCS": pcs,
-            "FLT": flt_t,
-            "SMC": smc_t,
+            "HALT": _Halt,
+            "PCS": tuple(pcs),
+            "FLT": tuple(flt),
+            "SMC": tuple(smc),
         }
         src = "\n".join(lines)
         exec(compile(src, f"<superblock@{start:#06x}>", "exec"), ns)
-        fn = ns["_block"]
         return [
-            fn, cyc_total, guard, 0, k_total,
+            ns["_block"], cyc_prefix[k], cyc_prefix[k - 1], 0, k,
             ld_prefix[k], st_prefix[k], wr_prefix[k],
-            tuple(pm_total.items()), tb_const,
+            tuple(pm_prefix[k].items()), last.taken,
         ]
 
     # ------------------------------------------------------------------
-    # Classification: one straight-line instruction -> codegen recipe.
-    # Mirrors FastEngine._build case for case; anything that branches,
-    # halts, does multi-register memory access, or is undefined ends
-    # the block (returns None) and runs through the parent handlers.
+    # Classification: one instruction -> codegen recipe.  Decodes in the
+    # legacy ``CortexM0.step`` order; ``None`` (undefined encodings, a
+    # BL without its suffix) ends the block before the instruction,
+    # which then runs through the legacy fallback.
     # ------------------------------------------------------------------
     def _classify(self, pc: int, insn: int) -> Optional[_Insn]:  # noqa: C901
         db = self.data.base
         de = self.data.end
         top5 = insn >> 11
 
-        if (insn & 0xF800) == 0xF000:  # BL prefix: terminator
-            return None
+        if (insn & 0xF800) == 0xF000:
+            return self._c_bl(pc, insn)
 
         if top5 in (0b00000, 0b00001, 0b00010):
             return self._c_shift_imm(pc, insn)
@@ -690,27 +698,43 @@ class SuperblockEngine(FastEngine):
         if (insn & 0xFF00) == 0xBA00:
             return self._c_rev(pc, insn)
 
-        if (insn & 0xF600) == 0xB400:  # PUSH/POP: terminator
-            return None
+        if (insn & 0xF600) == 0xB400:
+            return self._c_push_pop(pc, insn)
 
-        if (insn & 0xFF00) == 0xBE00:  # BKPT: terminator
-            return None
+        if (insn & 0xFF00) == 0xBE00:  # BKPT: the PC stays on it
+            return _Insn(
+                pc, "bkpt", 1, _no_code,
+                tail=[
+                    f"regs[15] = {pc}",
+                    "eng.cpu.halted = True",
+                    "eng._partial = SMC[-1]",
+                    "raise HALT",
+                ],
+            )
 
         if (insn & 0xFFFF) == 0xBF00:  # NOP
-            def g_nop(i, mat, ctx):
-                return []
-            return _Insn(pc, "nop", 1, g_nop)
+            return _Insn(pc, "nop", 1, _no_code)
 
-        if (insn & 0xF000) == 0xC000:  # LDM/STM: terminator
-            return None
+        if (insn & 0xF000) == 0xC000:
+            return self._c_ldm_stm(pc, insn)
 
         if (insn & 0xFF00) == 0xDF00:  # SVC
-            def g_svc(i, mat, ctx):
-                return []
-            return _Insn(pc, "svc", 1, g_svc)
+            return _Insn(pc, "svc", 1, _no_code)
 
-        # Conditional branch, B, undefined encodings: terminator.
-        return None
+        if (insn & 0xF000) == 0xD000:
+            return self._c_bcond(pc, insn)
+
+        if (insn & 0xF800) == 0xE000:  # B
+            offset = insn & 0x7FF
+            if offset & 0x400:
+                offset -= 0x800
+            target = (pc + 4 + (offset << 1)) & _MASK32
+            return _Insn(
+                pc, "b", 3, _no_code, taken=1,
+                tail=[f"regs[15] = {target}", "return 0"],
+            )
+
+        return None  # undefined encoding
 
     # -- flag helpers --------------------------------------------------
     @staticmethod
@@ -1184,16 +1208,33 @@ class SuperblockEngine(FastEngine):
             reads_regs=(rm,), writes_regs=(rdn,),
         )
 
-    def _c_hi_ops(self, pc: int, insn: int) -> Optional[_Insn]:
+    def _c_hi_ops(self, pc: int, insn: int) -> _Insn:
         op = (insn >> 8) & 0x3
         rm = (insn >> 3) & 0xF
         rd = ((insn >> 4) & 0x8) | (insn & 0x7)
-        if op == 0x3:  # BX / BLX: terminator
-            return None
         pc4 = (pc + 4) & _MASK32
+        if op == 0x3 or (rd == 15 and op != 0x1):
+            # BX/BLX and ADD/MOV into PC end the block.  Their tails
+            # read ``regs`` after the write-back; reading PC yields the
+            # instruction address + 4.
+            src = str(pc4) if rm == 15 else f"regs[{rm}]"
+            if op == 0x3:
+                mnem = "blx" if insn & 0x80 else "bx"
+                pre = [f"t = {src} & 0xFFFFFFFE"]
+                if mnem == "blx":
+                    pre.append(f"regs[14] = {(pc + 2) | 1}")
+            elif op == 0x0:
+                mnem = "add pc"
+                pre = [f"t = (({pc4} + {src}) & 0xFFFFFFFF) & 0xFFFFFFFE"]
+            else:
+                mnem = "mov pc"
+                pre = [f"t = {src} & 0xFFFFFFFE"]
+            tail, vec_tail = _jump("t")
+            return _Insn(
+                pc, mnem, 3, _no_code, taken=1,
+                tail=pre + tail, vec_tail=pre + vec_tail,
+            )
         if op == 0x0:  # ADD (no flags)
-            if rd == 15:
-                return None  # branch: terminator
             if rm == 15:
                 def g(i, mat, ctx, rd=rd, pc4=pc4):
                     return [
@@ -1243,8 +1284,6 @@ class SuperblockEngine(FastEngine):
             reads = tuple(r for r in (rd, rm) if r != 15)
             return _Insn(pc, "cmp", 1, g, fw=_ALL_FLAGS, reads_regs=reads)
         # MOV (no flags)
-        if rd == 15:
-            return None  # branch: terminator
         if rm == 15:
             def g(i, mat, ctx, rd=rd, pc4=pc4):
                 return [f"tg += H(r{rd} ^ {pc4}); r{rd} = {pc4}"]
@@ -1279,7 +1318,7 @@ class SuperblockEngine(FastEngine):
                     f"    data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')",
                     "else:",
                     f"    write32(a, r{rd})",
-                ] + ctx.genchk(i, indent=1)
+                ] + ctx.genchk(indent=1)
             return _Insn(
                 pc, "str", 2, g, stores=1, faultable=True, pm_on_fault=True,
                 reads_regs=(rn, rm, rd),
@@ -1291,7 +1330,7 @@ class SuperblockEngine(FastEngine):
                 return [
                     f"_i = {i}",
                     f"{helper}({addr}, r{rd})",
-                ] + ctx.genchk(i, indent=0)
+                ] + ctx.genchk(indent=0)
             return _Insn(
                 pc, mnem, 2, g, stores=1, faultable=True, pm_on_fault=True,
                 reads_regs=(rn, rm, rd),
@@ -1382,7 +1421,7 @@ class SuperblockEngine(FastEngine):
                 return [
                     f"_i = {i}",
                     f"write8({addr}, r{rd})",
-                ] + ctx.genchk(i, indent=0)
+                ] + ctx.genchk(indent=0)
             return _Insn(
                 pc, "strb", 2, g, stores=1, faultable=True,
                 reads_regs=(rn, rd),
@@ -1400,7 +1439,7 @@ class SuperblockEngine(FastEngine):
                 f"    data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')",
                 "else:",
                 f"    write32(a, r{rd})",
-            ] + ctx.genchk(i, indent=1)
+            ] + ctx.genchk(indent=1)
         return _Insn(
             pc, "str", 2, g, stores=1, faultable=True, reads_regs=(rn, rd),
         )
@@ -1427,7 +1466,7 @@ class SuperblockEngine(FastEngine):
             return [
                 f"_i = {i}",
                 f"write16({addr}, r{rd})",
-            ] + ctx.genchk(i, indent=0)
+            ] + ctx.genchk(indent=0)
         return _Insn(
             pc, "strh", 2, g, stores=1, faultable=True, reads_regs=(rn, rd),
         )
@@ -1473,7 +1512,7 @@ class SuperblockEngine(FastEngine):
                 f"    data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')",
                 "else:",
                 f"    write32(a, r{rd})",
-            ] + ctx.genchk(i, indent=1)
+            ] + ctx.genchk(indent=1)
         return _Insn(
             pc, "str", 2, g, stores=1, faultable=True, reads_regs=(13, rd),
         )
@@ -1533,6 +1572,158 @@ class SuperblockEngine(FastEngine):
             pc, "rev", 1, g, writes=1, reads_regs=(rm,), writes_regs=(rd,),
         )
 
+    # -- terminators and multi-access memory ops ------------------------
+    def _c_bl(self, pc: int, insn: int) -> Optional[_Insn]:
+        """BL prefix + suffix; ``None`` when the suffix is missing."""
+        if pc + 4 > self.prog.end:
+            return None
+        suffix = self.cpu.memory.read(pc + 2, 2, count=False)
+        if (suffix & 0xF800) != 0xF800:
+            return None
+        offset = ((insn & 0x7FF) << 11) | (suffix & 0x7FF)
+        if offset & (1 << 21):
+            offset -= 1 << 22
+        target = (pc + 4 + (offset << 1)) & _MASK32
+        return _Insn(
+            pc, "bl", 4, _no_code, taken=1,
+            tail=[
+                "prog_counters.reads += 1",  # the suffix fetch
+                f"regs[14] = {(pc + 4) | 1}",
+                f"regs[15] = {target}",
+                "return 0",
+            ],
+        )
+
+    def _c_bcond(self, pc: int, insn: int) -> Optional[_Insn]:
+        """B<cond>: 3 cycles taken (one ``taken_branches``), 1 not."""
+        cond = (insn >> 8) & 0xF
+        if cond == 0xE:  # permanently UNDEFINED (UDF)
+            return None
+        offset = insn & 0xFF
+        if offset & 0x80:
+            offset -= 0x100
+        taken_pc = (pc + 4 + (offset << 1)) & _MASK32
+        if cond < 8:
+            # Single-flag condition: when the flag is a plain bool
+            # (lane-uniform), resolve inline; anything else (an array,
+            # a NumPy scalar) defers to _vec_branch.
+            flag = "zzccnnvv"[cond]
+            want = "True" if (cond & 1) == 0 else "False"
+            other = "False" if want == "True" else "True"
+            vec_tail = [
+                f"f_ = R.{flag}",
+                f"if f_ is {want}:",
+                "    st.taken_branches += 1",
+                f"    regs[15] = {taken_pc}",
+                "    return 2",
+                f"if f_ is {other}:",
+                f"    regs[15] = {pc + 2}",
+                "    return 0",
+                f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
+            ]
+        else:
+            vec_tail = [
+                f"return eng._vec_branch({cond}, {taken_pc}, {pc + 2})",
+            ]
+        return _Insn(
+            pc, "bcond", 1, _no_code,
+            tail=[
+                f"if {_COND_EXPR[cond]}:",
+                "    st.taken_branches += 1",
+                f"    regs[15] = {taken_pc}",
+                "    return 2",
+                f"regs[15] = {pc + 2}",
+                "return 0",
+            ],
+            vec_tail=vec_tail,
+        )
+
+    def _c_push_pop(self, pc: int, insn: int) -> _Insn:
+        special = bool(insn & (1 << 8))
+        rlist = tuple(r for r in range(8) if insn & (1 << r))
+        n = len(rlist) + int(special)
+        if insn & (1 << 11):  # POP
+            def g(i, mat, ctx, rlist=rlist, special=special, n=n):
+                out = ["a = r13"]
+                for j, reg in enumerate(rlist):
+                    out += [
+                        f"_i = {i + j}",
+                        f"v = read32(a + {4 * j})",
+                        f"tg += H(r{reg} ^ v); r{reg} = v",
+                    ]
+                if special:
+                    out += [
+                        f"_i = {i + len(rlist)}",
+                        f"npc = read32(a + {4 * len(rlist)}) & 0xFFFFFFFE",
+                    ]
+                out.append(f"r13 = (a + {4 * n}) & 0xFFFFFFFF")
+                return out
+            tail = vec_tail = None
+            if special:
+                tail, vec_tail = _jump("npc")
+            # Legacy POP writes each register as it loads it but
+            # tallies the loads at the end.
+            return _Insn(
+                pc, "pop", (3 + n) if special else (1 + n), g,
+                loads=n, writes=len(rlist),
+                points=tuple((0, 0, j) for j in range(n)),
+                reads_regs=(13,), writes_regs=rlist + (13,),
+                taken=int(special), tail=tail, vec_tail=vec_tail,
+            )
+        stored = rlist + ((14,) if special else ())
+
+        def g(i, mat, ctx, stored=stored, n=n):
+            out = [f"a = (r13 - {4 * n}) & 0xFFFFFFFF", "r13 = a"]
+            for j, reg in enumerate(stored):
+                out += [f"_i = {i + j}", f"write32(a + {4 * j}, r{reg})"]
+            return out + ctx.genchk(indent=0)
+        # Legacy PUSH moves SP first and tallies the stores at the end.
+        return _Insn(
+            pc, "push", 1 + n, g, stores=n, points=((0, 0, 0),) * n,
+            reads_regs=(13,) + stored, writes_regs=(13,),
+        )
+
+    def _c_ldm_stm(self, pc: int, insn: int) -> Optional[_Insn]:
+        rn = (insn >> 8) & 0x7
+        rlist = tuple(r for r in range(8) if insn & (1 << r))
+        if not rlist:
+            return None  # legacy raises on the empty register list
+        m = len(rlist)
+        if insn & (1 << 11):  # LDMIA: no writeback when rn is loaded
+            writeback = rn not in rlist
+
+            def g(i, mat, ctx, rn=rn, rlist=rlist, writeback=writeback):
+                out = [f"a = r{rn}"]
+                for j, reg in enumerate(rlist):
+                    out += [
+                        f"_i = {i + j}",
+                        f"v = read32(a + {4 * j})",
+                        f"tg += H(r{reg} ^ v); r{reg} = v",
+                    ]
+                if writeback:
+                    out.append(f"r{rn} = (a + {4 * m}) & 0xFFFFFFFF")
+                return out
+            # Legacy LDM tallies each load and register write as it goes.
+            return _Insn(
+                pc, "ldm", 1 + m, g, loads=m, writes=m,
+                points=tuple((j, 0, j) for j in range(m)),
+                reads_regs=(rn,),
+                writes_regs=rlist + ((rn,) if writeback else ()),
+            )
+
+        def g(i, mat, ctx, rn=rn, rlist=rlist):
+            out = [f"a = r{rn}"]
+            for j, reg in enumerate(rlist):
+                out += [f"_i = {i + j}", f"write32(a + {4 * j}, r{reg})"]
+            out.append(f"r{rn} = (a + {4 * m}) & 0xFFFFFFFF")
+            return out + ctx.genchk(indent=0)
+        # Legacy STM tallies each store as it goes.
+        return _Insn(
+            pc, "stm", 1 + m, g, stores=m,
+            points=tuple((0, j, 0) for j in range(m)),
+            reads_regs=(rn,) + rlist, writes_regs=(rn,),
+        )
+
 
 class _GenCtx:
     """Shared state handed to instruction generators."""
@@ -1546,13 +1737,16 @@ class _GenCtx:
         self.engine = engine
         self.writeback = writeback
         self.vector = vector
+        # Block index and pc of the instruction being generated.
+        self.index = 0
+        self.pc = 0
 
-    def genchk(self, i: int, indent: int) -> List[str]:
+    def genchk(self, indent: int) -> List[str]:
         """Post-slow-path-store generation check (self-modifying code).
 
-        Emitted after every store that may have reached the program
-        region; when the block cache generation changed, the block
-        exits early with the store's effects fully applied.
+        Emitted after every instruction that may have stored into the
+        program region; when the block cache generation changed, the
+        block exits early with the instruction's effects fully applied.
 
         Vector lanes cannot self-modify: stores into the program region
         raise inside the vector memory helpers (forcing a scalar
@@ -1564,8 +1758,8 @@ class _GenCtx:
         return [
             pad + f"if eng._generation != {self.engine._generation}:",
             pad + f"    {self.writeback}",
-            pad + f"    regs[15] = PCS[{i}] + 2",
+            pad + f"    regs[15] = {self.pc + 2}",
             pad + "    tr.register_toggles += tg",
-            pad + f"    eng._partial = SMC[{i}]",
+            pad + f"    eng._partial = SMC[{self.index}]",
             pad + "    return None",
         ]

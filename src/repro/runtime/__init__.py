@@ -8,8 +8,7 @@ This package makes repeat studies cheap and large studies fast:
 - :mod:`repro.runtime.parallel` — suite fan-out over a process pool
   with cache integration and a serial fallback.
 - :mod:`repro.obs.perf` — wall-time / MIPS metering so the speedups
-  stay observable from the CLI and benchmarks
-  (:mod:`repro.runtime.perfcounters` is now a back-compat shim for it).
+  stay observable from the CLI and benchmarks.
 - :mod:`repro.runtime.bench` — the ``BENCH_iss.json`` harness tracking
   the performance trajectory across PRs.
 - :mod:`repro.runtime.bench_obs` — the ``BENCH_obs.json`` harness

@@ -1,20 +1,20 @@
 """The ``BENCH_iss.json`` harness: ISS performance trajectory per PR.
 
 Measures the numbers the acceptance gates care about and writes them to
-a JSON artifact so regressions are visible across PRs:
+a JSON artifact so regressions are visible across PRs.  Speedups are
+quoted against the legacy interpreter, the single reference engine:
 
-- full-length matmul-int wall time, simulated cycles/sec, and MIPS on
-  the fast engine, with the checksum/cycle bit-identity check against
-  the paper goldens,
-- a direct fast-vs-legacy speedup measurement on a medium matmul
-  configuration (the full-length legacy run takes ~a minute; pass
-  ``measure_legacy_full=True`` to include it),
-- the superblock engine on the full-length matmul: wall time, speedup
-  over the fast engine, paper-golden bit-identity,
+- a direct superblock-vs-legacy speedup measurement on a medium matmul
+  configuration,
+- full-length matmul-int on the superblock engine (the default): wall
+  time, simulated cycles/sec, and MIPS, with the checksum/cycle
+  bit-identity check against the paper goldens (the full-length legacy
+  run takes over a minute; pass ``measure_legacy_full=True`` to include
+  it and the measured full-length speedup),
 - the N-lane vector engine: full-length matmul at N=1 (bit-identity
   against the paper goldens), lane-scaling rows at 8/16/32/64 lanes of
   seed-parameterized matmul variants (aggregate MIPS and speedup over
-  the measured fast-path MIPS), and an 8-variant suite run through
+  the measured superblock MIPS), and an 8-variant suite run through
   :func:`~repro.runtime.parallel.run_workloads_vector`,
 - suite study wall times: serial cold, parallel cold (skipped on
   single-CPU hosts, where the comparison is meaningless), warm-cache,
@@ -77,7 +77,7 @@ def run_bench(
 ) -> dict:
     """Collect the benchmark numbers; optionally write the artifact."""
     report: dict = {
-        "schema": "bench-iss/2",
+        "schema": "bench-iss/3",
         "iss_version": ISS_VERSION,
         "python": platform.python_version(),
         "generated_unix": time.time(),
@@ -88,46 +88,46 @@ def run_bench(
     legacy_stats, legacy_sum, legacy_wall = _timed_engine_run(
         medium, "legacy"
     )
-    fast_stats, fast_sum, fast_wall = _timed_engine_run(medium, "fast")
+    sb_stats, sb_sum, sb_medium_wall = _timed_engine_run(medium, "superblock")
     report["engine_comparison_medium"] = {
         "workload": "matmul-int n=12 repeats=8 tune=5",
         "legacy_wall_seconds": legacy_wall,
-        "fast_wall_seconds": fast_wall,
-        "speedup_fast_over_legacy": legacy_wall / fast_wall,
+        "superblock_wall_seconds": sb_medium_wall,
+        "speedup_superblock_over_legacy": legacy_wall / sb_medium_wall,
         "bit_identical": (
-            legacy_stats.cycles == fast_stats.cycles
-            and legacy_stats.instructions == fast_stats.instructions
-            and legacy_sum == fast_sum
+            legacy_stats.cycles == sb_stats.cycles
+            and legacy_stats.instructions == sb_stats.instructions
+            and legacy_sum == sb_sum
         ),
     }
 
-    # -- full-length matmul on the fast engine -------------------------
+    # -- full-length matmul on the superblock engine -------------------
     # Best of two runs: a single sample of a multi-second measurement is
     # vulnerable to scheduler noise on a shared host.
-    # engine="fast" is pinned: "auto" now resolves to the superblock
-    # engine, which gets its own section below.
     full = matmul_int.workload()
-    full_wall = float("inf")
+    sb_wall = float("inf")
     for _ in range(2):
         with _gc_quiet():
             start = time.perf_counter()
-            result = run_workload(full, engine="fast")
-            full_wall = min(full_wall, time.perf_counter() - start)
-    report["matmul_full_fast"] = {
-        "wall_seconds": full_wall,
+            result = run_workload(full, engine="superblock")
+            sb_wall = min(sb_wall, time.perf_counter() - start)
+    cycles_match_paper = result.cycles == matmul_int.PAPER_CYCLE_COUNT
+    report["superblock"] = {
+        "wall_seconds": sb_wall,
         "cycles": result.cycles,
         "instructions": result.instructions,
-        "sim_cycles_per_second": result.cycles / full_wall,
-        "mips": result.instructions / full_wall / 1e6,
+        "sim_cycles_per_second": result.cycles / sb_wall,
+        "mips": result.instructions / sb_wall / 1e6,
         "checksum": f"{result.checksum:#010x}",
-        "cycles_match_paper": result.cycles == matmul_int.PAPER_CYCLE_COUNT,
+        "cycles_match_paper": cycles_match_paper,
         "checksum_correct": result.correct,
+        "bit_identical": cycles_match_paper and result.correct,
     }
     if measure_legacy_full:
         lf_stats, lf_sum, lf_wall = _timed_engine_run(full, "legacy")
         report["matmul_full_legacy"] = {
             "wall_seconds": lf_wall,
-            "speedup_fast_over_legacy": lf_wall / full_wall,
+            "speedup_superblock_over_legacy": lf_wall / sb_wall,
             "bit_identical": (
                 lf_stats.cycles == result.cycles
                 and lf_stats.instructions == result.instructions
@@ -137,36 +137,18 @@ def run_bench(
     else:
         # Estimated from the directly measured medium-config ratio.
         report["matmul_full_legacy_estimate"] = {
-            "wall_seconds": full_wall
-            * report["engine_comparison_medium"]["speedup_fast_over_legacy"],
-            "basis": "medium-config speedup x full fast wall",
+            "wall_seconds": sb_wall
+            * report["engine_comparison_medium"][
+                "speedup_superblock_over_legacy"
+            ],
+            "basis": "medium-config speedup x full superblock wall",
         }
-
-    # -- superblock engine on the full-length matmul -------------------
-    sb_wall = float("inf")
-    for _ in range(2):
-        with _gc_quiet():
-            start = time.perf_counter()
-            sb_result = run_workload(full, engine="superblock")
-            sb_wall = min(sb_wall, time.perf_counter() - start)
-    report["superblock"] = {
-        "wall_seconds": sb_wall,
-        "mips": sb_result.instructions / sb_wall / 1e6,
-        "speedup_superblock_over_fast": full_wall / sb_wall,
-        "bit_identical": (
-            sb_result.cycles == matmul_int.PAPER_CYCLE_COUNT
-            and sb_result.correct
-            and sb_result.cycles == result.cycles
-            and sb_result.instructions == result.instructions
-            and sb_result.checksum == result.checksum
-        ),
-    }
 
     # -- N-lane vector engine ------------------------------------------
     from repro.cpu.vector_engine import run_lanes
     from repro.runtime.parallel import run_workloads_vector
 
-    fast_mips = report["matmul_full_fast"]["mips"]
+    sb_mips = report["superblock"]["mips"]
 
     # N=1 property run: the vector engine degenerates to one lane and
     # must stay bit-identical to the paper goldens on the full workload.
@@ -182,13 +164,14 @@ def run_bench(
             n1.vectorized
             and n1_lane.checksum == full.expected_checksum
             and n1_lane.cycles == matmul_int.PAPER_CYCLE_COUNT
+            and n1_lane.instructions == result.instructions
         ),
     }
 
     # Lane-scaling rows: N seed-parameterized matmul variants share one
     # program text and run in lockstep.  Aggregate MIPS is total
     # retired instructions over the group wall; speedup is against the
-    # fast-path MIPS measured above on this same host.
+    # superblock MIPS measured above on this same host.
     scale_cfg = dict(n=20, repeats=20, tune=1000)
     for n_lanes in (8, 16, 32, 64):
         variants = [
@@ -209,7 +192,7 @@ def run_bench(
             "vectorized": vres.vectorized,
             "total_instructions": vres.total_instructions,
             "aggregate_mips": mips,
-            "speedup_vs_fast": mips / fast_mips,
+            "speedup_vs_superblock": mips / sb_mips,
             "all_correct": all(
                 lane.checksum == w.expected_checksum
                 for w, lane in zip(variants, vres.lanes)

@@ -53,6 +53,28 @@ METRIC_SPECS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("vector_lanes.suite_8_variants.all_correct", "exact_true"),
         ("suite_study.warm_cache_wall_seconds", "lower_better"),
     ),
+    # v3 retires the fast engine: speedups are quoted against the
+    # legacy interpreter, and the throughput metric is the default
+    # (superblock) engine's.  The absolute floors that replace the v2
+    # fast-engine products live in benchmarks/test_bench_iss.py.
+    "bench-iss/3": (
+        (
+            "engine_comparison_medium.speedup_superblock_over_legacy",
+            "higher_better",
+        ),
+        ("engine_comparison_medium.bit_identical", "exact_true"),
+        ("superblock.mips", "higher_better"),
+        ("superblock.cycles_match_paper", "exact_true"),
+        ("superblock.checksum_correct", "exact_true"),
+        ("superblock.bit_identical", "exact_true"),
+        ("vector_lanes.n1_bit_identical", "exact_true"),
+        ("vector_lanes.n32.aggregate_mips", "higher_better"),
+        ("vector_lanes.n32.speedup_vs_superblock", "higher_better"),
+        ("vector_lanes.n32.all_correct", "exact_true"),
+        ("vector_lanes.n64.all_correct", "exact_true"),
+        ("vector_lanes.suite_8_variants.all_correct", "exact_true"),
+        ("suite_study.warm_cache_wall_seconds", "lower_better"),
+    ),
     "bench-sweep/1": (
         ("monte_carlo.speedup_batched_over_legacy", "higher_better"),
         ("monte_carlo.batched_samples_per_second", "higher_better"),

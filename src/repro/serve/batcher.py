@@ -45,7 +45,9 @@ class RequestBatcher:
 
     Args:
         evaluate: called with the list of queued items; returns one
-            result per item, in order.  Runs on the event loop thread —
+            result per item, in order.  When a batch raises, each item
+            is re-evaluated alone, so only the failing item's waiter
+            gets the exception.  Runs on the event loop thread —
             for the PPAtC point evaluator (tens of microseconds per
             query) that is the right trade; a heavier model would hand
             off to a thread.
@@ -173,11 +175,33 @@ class RequestBatcher:
         try:
             with obs.span("serve.batch", occupancy=len(batch)):
                 results = self._evaluate(items)
-        except Exception as exc:  # propagate one failure to all waiters
-            for _, future in batch:
-                if not future.cancelled():
-                    future.set_exception(exc)
+        except Exception as exc:
+            if len(batch) == 1:
+                _resolve(batch[0][1], exc=exc)
+                return
+            # One bad item must not fail its batch-mates: re-evaluate
+            # each singly so only the failing item gets the exception.
+            for item, future in batch:
+                try:
+                    (result,) = self._evaluate([item])
+                except Exception as item_exc:
+                    _resolve(future, exc=item_exc)
+                else:
+                    _resolve(future, result)
             return
         for (_, future), result in zip(batch, results):
-            if not future.cancelled():
-                future.set_result(result)
+            _resolve(future, result)
+
+
+def _resolve(
+    future: "asyncio.Future[Any]",
+    result: Any = None,
+    exc: Optional[BaseException] = None,
+) -> None:
+    """Settle a waiter unless its client already gave up on it."""
+    if future.cancelled():
+        return
+    if exc is not None:
+        future.set_exception(exc)
+    else:
+        future.set_result(result)

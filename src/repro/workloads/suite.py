@@ -77,9 +77,9 @@ def run_workload(
     Args:
         engine: ISS engine selection passed to
             :meth:`~repro.cpu.simulator.CortexM0.run` (``"auto"``,
-            ``"superblock"``, ``"fast"``, ``"legacy"``).  ``None``
-            reads the ``REPRO_ISS_ENGINE`` environment variable and
-            falls back to ``"auto"``.  All engines are bit-identical.
+            ``"superblock"``, ``"legacy"``).  ``None`` reads the
+            ``REPRO_ISS_ENGINE`` environment variable and falls back to
+            ``"auto"``.  Both engines are bit-identical.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ISS_ENGINE", "auto")
@@ -107,27 +107,22 @@ def run_workload(
         metrics.counter("iss.cycles").inc(stats.cycles)
         for mnemonic, count in stats.per_mnemonic.items():
             metrics.counter(f"iss.mix.{mnemonic}").inc(count)
-        fast = cpu.fast_engine
-        if fast is not None:
-            metrics.counter("iss.fastpath.fast_steps").inc(fast.fast_steps)
-            metrics.counter("iss.fastpath.fallback_steps").inc(
-                fast.fallback_steps
-            )
-            metrics.counter("iss.fastpath.invalidations").inc(
-                fast.invalidations
-            )
+        engine_state = cpu.superblock_engine
+        if engine_state is not None:
             # Block-cache health of the superblock translator: execs
-            # are cache hits (a translated block ran), translations
-            # are misses that compiled a new block.
-            if hasattr(fast, "block_execs"):
-                metrics.counter("iss.superblock.blocks_translated").inc(
-                    fast.blocks_translated
-                )
-                metrics.counter("iss.superblock.block_execs").inc(
-                    fast.block_execs
-                )
-                metrics.counter("iss.superblock.block_steps").inc(
-                    fast.block_steps
+            # are cache hits (a translated block ran), translations are
+            # misses that compiled a new block.  Every retired
+            # instruction ran either in a block or through the legacy
+            # fallback: block_steps + fallback_steps == instructions.
+            for name in (
+                "blocks_translated",
+                "block_execs",
+                "block_steps",
+                "fallback_steps",
+                "invalidations",
+            ):
+                metrics.counter(f"iss.superblock.{name}").inc(
+                    getattr(engine_state, name)
                 )
     result = WorkloadResult(
         workload=workload,

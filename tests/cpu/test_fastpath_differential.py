@@ -1,9 +1,9 @@
-"""Differential tests: predecoded engines vs the legacy decode loop.
+"""Differential tests: the superblock engine vs the legacy decode loop.
 
-The fast dispatch-cache engine and the superblock-translating engine
-must both be *bit-identical* to the legacy path — same statistics,
-checksums, per-region access counters, activity trace, and exception
-behavior — across every workload in the suite.
+The superblock-translating engine must be *bit-identical* to the legacy
+path — same statistics, checksums, per-region access counters, activity
+trace, and exception behavior — across every workload in the suite and
+every block terminator.
 """
 
 import pytest
@@ -51,11 +51,18 @@ def execute(source, engine, max_cycles=500_000_000):
     }
 
 
+def superblock_engine(source):
+    """Run ``source`` on the superblock engine; return the engine."""
+    cpu = CortexM0(MemoryMap.embedded_system())
+    cpu.load_program(assemble(source))
+    cpu.run(engine="superblock")
+    return cpu.superblock_engine
+
+
 def assert_engines_identical(source, max_cycles=500_000_000):
     legacy = execute(source, "legacy", max_cycles)
-    for engine in ("fast", "superblock"):
-        predecoded = execute(source, engine, max_cycles)
-        assert predecoded == legacy, f"{engine} diverged from legacy"
+    superblock = execute(source, "superblock", max_cycles)
+    assert superblock == legacy, "superblock diverged from legacy"
     return legacy
 
 
@@ -83,9 +90,9 @@ class TestEngineSelection:
             cpu.run(engine="turbo")
 
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "superblock", "fast", "legacy")
+        assert ENGINES == ("auto", "superblock", "legacy")
 
-    @pytest.mark.parametrize("engine", ["fast", "superblock"])
+    @pytest.mark.parametrize("engine", ["superblock"])
     def test_predecoded_engine_refuses_recorder(self, engine):
         cpu = CortexM0(
             MemoryMap.embedded_system(), recorder=AccessRecorder()
@@ -142,7 +149,7 @@ class TestFaultFidelity:
 
 
 class TestSelfModifyingCode:
-    @pytest.mark.parametrize("engine", ["fast", "superblock"])
+    @pytest.mark.parametrize("engine", ["superblock"])
     def test_external_program_patch_invalidates_decode_cache(self, engine):
         """Patching program memory between runs must re-decode."""
         source = """
@@ -190,13 +197,6 @@ class TestSuperblockBoundaries:
     call; these tests pin the partial-progress bookkeeping when
     execution stops partway through a block.
     """
-
-    def _superblock_engine(self, source):
-        program = assemble(source)
-        cpu = CortexM0(MemoryMap.embedded_system())
-        cpu.load_program(program)
-        cpu.run(engine="superblock", max_cycles=500_000_000)
-        return cpu.fast_engine
 
     def test_store_into_own_block_reexecutes_patched_tail(self):
         """A store over a later instruction of the *current* block.
@@ -262,7 +262,7 @@ class TestSuperblockBoundaries:
 
     def test_blocks_actually_translate(self):
         """Sanity: the scenarios above really exercise fused blocks."""
-        eng = self._superblock_engine(
+        eng = superblock_engine(
             """
                 movs r0, #1
                 movs r1, #2
@@ -275,7 +275,7 @@ class TestSuperblockBoundaries:
 
     def test_fused_branch_loops_stay_in_block_dispatch(self):
         """Loop bodies ending in bcond fuse the branch into the block."""
-        eng = self._superblock_engine(
+        eng = superblock_engine(
             """
                 movs r0, #0
                 movs r1, #10
@@ -290,3 +290,182 @@ class TestSuperblockBoundaries:
         # The loop body (adds/cmp/bne) executes as one block per
         # iteration; only the prologue and epilogue use other paths.
         assert eng.block_execs >= 10
+
+
+#: The data region's end address in ``MemoryMap.embedded_system()``;
+#: nothing is mapped above it, so accesses crossing it fault.
+DATA_END = 0x20010000
+
+
+class TestTerminators:
+    """PC-writing terminators and multi-access ops inside blocks."""
+
+    def test_stm_ldm_writeback_and_base_in_list(self):
+        source = """
+                ldr r0, =0x20000100
+                movs r1, #11
+                movs r2, #22
+                movs r3, #33
+                stmia r0!, {r1, r2, r3}
+                ldr r4, =0x20000100
+                ldmia r4!, {r5, r6, r7}
+                ldr r0, =0x20000100
+                ldmia r0!, {r0, r1}
+                ldr r2, =0x20000200
+                stmia r2!, {r1, r2, r3}
+                ldr r3, =0x20000200
+                ldmia r3!, {r1, r2, r3}
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        regs = legacy["regs"]
+        assert regs[4] == 0x2000010C  # LDM writeback
+        assert regs[5:8] == [11, 22, 33]
+        assert regs[0] == 11  # base in the list: loaded, no writeback
+        assert regs[2] == 0x20000200  # STM stored the original base
+        assert legacy["per_mnemonic"]["ldm"] == 3
+        assert legacy["per_mnemonic"]["stm"] == 2
+
+    def test_push_pop_with_lr_and_pc(self):
+        source = """
+                movs r4, #4
+                movs r5, #5
+                bl outer
+                adds r0, r0, r4
+                bkpt
+            outer:
+                push {r4, r5, lr}
+                movs r4, #40
+                bl inner
+                adds r0, r0, r4
+                pop {r4, r5, pc}
+            inner:
+                push {r4, lr}
+                movs r4, #7
+                mov r0, r4
+                pop {r4}
+                pop {pc}
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["regs"][0] == 7 + 40 + 4
+        assert legacy["regs"][4:6] == [4, 5]
+        assert legacy["regs"][13] == DATA_END
+
+    def test_bl_then_mov_pc_lr_and_bx_lr(self):
+        source = """
+                bl via_mov
+                bl via_bx
+                adr r3, via_add
+                adds r3, r3, #1
+                blx r3
+                movs r2, #0
+                add pc, r2
+                nop
+                nop
+                bkpt
+            via_mov:
+                adds r0, r0, #1
+                mov pc, lr
+            via_bx:
+                adds r0, r0, #2
+                bx lr
+                .align 2
+            via_add:
+                adds r0, r0, #4
+                bx lr
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["regs"][0] == 7
+        mix = legacy["per_mnemonic"]
+        assert (mix["bl"], mix["mov pc"], mix["bx"]) == (2, 1, 2)
+        assert (mix["blx"], mix["add pc"]) == (1, 1)
+
+    def test_lone_instructions_between_terminators(self):
+        source = """
+                b first
+            first:
+                b second
+            second:
+                movs r0, #1
+                bl leaf
+                movs r1, #2
+                bl leaf
+                push {lr}
+                pop {r2}
+                bkpt
+            leaf:
+                bx lr
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["regs"][:2] == [1, 2]
+        eng = superblock_engine(source)
+        assert eng.fallback_steps == 0
+        assert eng.block_steps == legacy["instructions"]
+
+    @pytest.mark.parametrize(
+        "setup, op",
+        [
+            # PUSH moves SP first; its third store crosses the map end.
+            (f"ldr r0, ={DATA_END + 4}\n mov sp, r0", "push {r1, r2, r3}"),
+            (f"ldr r0, ={DATA_END + 4}\n mov sp, r0", "push {r1, lr}"),
+            ("ldr r0, =0x20000102\n mov sp, r0", "push {r1, r2}"),
+            (f"ldr r0, ={DATA_END - 4}\n mov sp, r0", "pop {r1, r2}"),
+            (f"ldr r0, ={DATA_END - 4}\n mov sp, r0", "pop {r1, pc}"),
+            (f"ldr r0, ={DATA_END - 4}", "stmia r0!, {r1, r2}"),
+            (f"ldr r0, ={DATA_END - 8}", "ldmia r0!, {r1, r2, r3}"),
+            (f"ldr r4, ={DATA_END - 8}", "ldmia r4!, {r1, r4, r5}"),
+        ],
+    )
+    def test_fault_inside_multi_access_op(self, setup, op):
+        source = f"""
+                movs r1, #1
+                movs r2, #2
+                movs r3, #3
+                {setup}
+                adds r5, r1, r2
+                {op}
+                movs r6, #6
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["error"] is not None
+        assert legacy["regs"][6] == 0  # nothing after the fault ran
+
+    def test_stm_into_program_region_retranslates(self):
+        source = """
+                ldr r1, =patch
+                ldr r2, =0x20072007
+                stmia r1!, {r2}
+                b patch
+                .align 2
+            patch:
+                movs r0, #1
+                movs r3, #1
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["regs"][0] == 7
+        assert legacy["regs"][3] == 0
+
+    def test_cycle_limit_lands_on_every_terminator(self):
+        """Sweep the limit across a program dense with terminators."""
+        source = """
+                movs r4, #3
+            loop:
+                bl call
+                push {r4, lr}
+                pop {r4}
+                pop {r3}
+                mov lr, r3
+                subs r4, r4, #1
+                bne loop
+                bkpt
+            call:
+                push {r4, lr}
+                adds r0, r0, #1
+                pop {r4, pc}
+        """
+        full = assert_engines_identical(source)
+        assert full["error"] is None
+        for limit in range(1, full["cycles"] + 2):
+            assert_engines_identical(source, max_cycles=limit)

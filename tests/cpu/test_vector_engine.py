@@ -1,10 +1,10 @@
 """Differential tests: the N-lane vector engine vs the scalar engines.
 
 The lockstep vector engine must be *bit-identical* per lane to the
-scalar fast/superblock path — same checksums, statistics, access
-counters, and activity trace — whether the run stays vectorized or
-falls back.  N=1 is the property anchor: one lane must degenerate to
-exactly the scalar result on every workload.
+scalar reference — same checksums, statistics, access counters, and
+activity trace — whether the run stays vectorized or falls back.  N=1
+is the property anchor: one lane must degenerate to exactly the legacy
+interpreter's result on every workload.
 """
 
 import pytest
@@ -34,13 +34,20 @@ LANE_FIELDS = (
 )
 
 
-def fast_reference(source, max_cycles=500_000_000):
-    """Scalar fast-engine run shaped like a LaneOutcome field dict."""
+def legacy_reference(source, words=(), max_cycles=500_000_000):
+    """Legacy-interpreter run shaped like a LaneOutcome field dict.
+
+    ``words`` are written (uncounted) at the data region base first,
+    exactly as :func:`run_lanes` initializes one lane.
+    """
     program = assemble(source)
     trace = ActivityTrace()
     cpu = CortexM0(MemoryMap.embedded_system(), trace=trace)
     cpu.load_program(program)
-    cpu.run(max_cycles=max_cycles, engine="fast")
+    data_base = cpu.memory.region("data").base
+    for i, word in enumerate(words):
+        cpu.memory.write(data_base + 4 * i, word, 4, count=False)
+    cpu.run(max_cycles=max_cycles, engine="legacy")
     counters = {r.name: r.counters for r in cpu.memory.regions}
     return {
         "checksum": cpu.regs.read(0),
@@ -77,10 +84,10 @@ def assert_lane_matches(lane, reference, context=""):
     ids=lambda w: w.name,
 )
 def test_n1_bit_identical_to_fast_engine(workload):
-    """One vector lane degenerates to the scalar result, field-for-field."""
+    """One vector lane matches the legacy interpreter, field-for-field."""
     result = run_lanes(workload.source, lanes=1)
     assert_lane_matches(
-        result.lanes[0], fast_reference(workload.source), workload.name
+        result.lanes[0], legacy_reference(workload.source), workload.name
     )
 
 
@@ -89,7 +96,7 @@ def test_medium_matmul_n1_identity():
     workload = matmul_int.workload(n=12, repeats=4, tune=5)
     result = run_lanes(workload.source, lanes=1)
     assert result.vectorized
-    assert_lane_matches(result.lanes[0], fast_reference(workload.source))
+    assert_lane_matches(result.lanes[0], legacy_reference(workload.source))
 
 
 def test_seed_variants_vectorize_and_match_goldens():
@@ -107,6 +114,57 @@ def test_seed_variants_vectorize_and_match_goldens():
     for seed, workload, lane in zip(seeds, variants, result.lanes):
         assert lane.checksum == matmul_int.golden_checksum(8, seed)
         assert lane.checksum == workload.expected_checksum
+
+
+def test_call_heavy_lanes_stay_vectorized():
+    """fib-shaped lanes: BL, PUSH/POP of lane-varying registers, POP PC.
+
+    Each lane seeds the Fibonacci recurrence with its own data word, so
+    values differ across lanes while control flow stays in lockstep.
+    """
+    source = """
+        ldr r0, =0x20000000
+        ldr r6, [r0]          @ per-lane seed
+        movs r7, #6
+    repeat_loop:
+        bl fibsum
+        adds r6, r6, r0
+        subs r7, r7, #1
+        bne repeat_loop
+        mov r0, r6
+        bkpt #0
+    fibsum:
+        push {r4, r5, r6, r7, lr}
+        mov r5, r6
+        movs r4, #1
+    k_loop:
+        mov r0, r6
+        movs r1, #1
+        mov r2, r4
+        subs r2, r2, #1
+        beq fib_done
+    fib_loop:
+        adds r3, r0, r1
+        mov r0, r1
+        mov r1, r3
+        subs r2, r2, #1
+        bne fib_loop
+    fib_done:
+        adds r5, r5, r1
+        adds r4, r4, #1
+        cmp r4, #20
+        ble k_loop
+        mov r0, r5
+        pop {r4, r5, r6, r7, pc}
+    """
+    seeds = [3, 1000, 7, 2**31 + 5]
+    result = run_lanes(source, lane_words=[(s,) for s in seeds])
+    assert result.vectorized, result.bail_reason
+    assert len({lane.checksum for lane in result.lanes}) == len(seeds)
+    for seed, lane in zip(seeds, result.lanes):
+        reference = legacy_reference(source, words=(seed,))
+        assert_lane_matches(lane, reference, f"seed={seed} ")
+        assert lane.per_mnemonic["push"] == 6
 
 
 def test_divergent_trip_counts_retire_independently():

@@ -126,7 +126,8 @@ class TestCompareReports:
 
     def test_every_schema_has_specs(self):
         assert set(METRIC_SPECS) == {
-            "bench-iss/1", "bench-iss/2", "bench-sweep/1", "bench-obs/1",
+            "bench-iss/1", "bench-iss/2", "bench-iss/3", "bench-sweep/1",
+            "bench-obs/1",
             "bench-obs/2", "bench-serve/1", "bench-lint/1",
             "bench-lint/2",
         }
@@ -136,6 +137,20 @@ class TestCompareReports:
         assert set(METRIC_SPECS["bench-iss/1"]) <= set(
             METRIC_SPECS["bench-iss/2"]
         )
+
+    def test_iss_v3_keeps_every_v2_correctness_gate(self):
+        """v3 swaps the fast-engine arms; no boolean gate is dropped."""
+        v2_booleans = {
+            metric.replace("matmul_full_fast.", "superblock.")
+            for metric, kind in METRIC_SPECS["bench-iss/2"]
+            if kind == "exact_true"
+        }
+        v3_booleans = {
+            metric
+            for metric, kind in METRIC_SPECS["bench-iss/3"]
+            if kind == "exact_true"
+        }
+        assert v2_booleans <= v3_booleans
 
     def test_obs_v2_extends_v1(self):
         assert set(METRIC_SPECS["bench-obs/1"]) <= set(

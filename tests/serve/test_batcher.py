@@ -115,7 +115,7 @@ def test_submit_after_stop_raises(clean_obs):
 
 
 def test_evaluator_failure_propagates_to_all_waiters(clean_obs):
-    recorder = Recorder(fail_on={2})
+    recorder = Recorder(fail_on={0, 1, 2, 3})
 
     async def run():
         batcher = RequestBatcher(recorder, window_s=0.002)
@@ -129,8 +129,45 @@ def test_evaluator_failure_propagates_to_all_waiters(clean_obs):
 
     outcomes = asyncio.run(run())
     assert all(isinstance(o, RuntimeError) for o in outcomes)
-    # The batch still drained; later submissions would start fresh.
-    assert len(recorder.batches) == 1
+    # The failed batch drained through one single-item retry each.
+    assert recorder.batches == [[0, 1, 2, 3], [0], [1], [2], [3]]
+
+
+def test_one_failing_item_does_not_fail_its_batch_mates(clean_obs):
+    recorder = Recorder(fail_on={2})
+
+    async def run():
+        batcher = RequestBatcher(recorder, window_s=0.002)
+        batcher.start()
+        futures = [batcher.submit(i) for i in range(4)]
+        gathered = await asyncio.gather(
+            *futures, return_exceptions=True
+        )
+        await batcher.stop()
+        return gathered
+
+    outcomes = asyncio.run(run())
+    assert outcomes[:2] == [0, 10]
+    assert isinstance(outcomes[2], RuntimeError)
+    assert outcomes[3] == 30
+    assert recorder.batches == [[0, 1, 2, 3], [0], [1], [2], [3]]
+
+
+def test_single_item_failure_is_not_retried(clean_obs):
+    recorder = Recorder(fail_on={7})
+
+    async def run():
+        batcher = RequestBatcher(recorder, window_s=0.0)
+        batcher.start()
+        outcome = await asyncio.gather(
+            batcher.submit(7), return_exceptions=True
+        )
+        await batcher.stop()
+        return outcome
+
+    (outcome,) = asyncio.run(run())
+    assert isinstance(outcome, RuntimeError)
+    assert recorder.batches == [[7]]
 
 
 def test_constructor_validation():

@@ -553,3 +553,54 @@ def test_latency_histogram_reports_quantiles():
     hist = metrics["histograms"]["serve.request.seconds"]
     assert hist["count"] == 5
     assert 0.0 < hist["p50"] <= hist["p90"] <= hist["p99"]
+
+
+def test_failing_query_does_not_fail_its_batch_mate():
+    """A query that validates but cannot be evaluated fails alone.
+
+    1500 MHz is inside the accepted clock range, but no V_T flavour
+    closes timing there, so its evaluation raises.  A valid query
+    coalesced into the same batch window must still get a response
+    byte-identical to its solo response.
+    """
+    valid = {"grid": "us", "lifetime_months": 24.0}
+    failing = dict(valid, clock_mhz=1500.0)
+
+    async def post_raw(port, payload):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            writer.write(_post_bytes(json.dumps(payload).encode()))
+            await writer.drain()
+            return await _read_response(reader)
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    async def run():
+        server = PpatcServer(
+            ServerConfig(batch_window_s=0.05, **TEST_CONFIG)
+        )
+        await server.start()
+        try:
+            solo = await post_raw(server.port, valid)
+            together = await asyncio.gather(
+                post_raw(server.port, failing),
+                post_raw(server.port, valid),
+            )
+            metrics = await fetch_json(
+                "127.0.0.1", server.port, "/metricz"
+            )
+        finally:
+            await server.stop()
+        return solo, together, metrics
+
+    solo, (bad, good), metrics = asyncio.run(run())
+    assert solo[0] == 200
+    assert bad[0] == 500
+    assert good == solo
+    # The two concurrent queries really shared one batch.
+    assert metrics["counters"]["serve.batch.count"] == 2
+    assert metrics["counters"]["serve.batch.queries"] == 3
