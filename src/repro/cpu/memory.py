@@ -40,9 +40,13 @@ class MemoryRegion:
         self.base = base
         self.size = size
         self.data = bytearray(size)
+        #: Native-order 32-bit view over the word-aligned prefix of
+        #: ``data``: the superblock engine's inline aligned load/store
+        #: fast paths index it instead of slicing bytes.
+        self.words = memoryview(self.data)[: size & ~3].cast("I")
         self.counters = AccessCounters()
-        #: Bumped on every mutation (stores and bulk loads).  The fast
-        #: execution engine snapshots it to detect self-modifying code.
+        #: Bumped on every mutation (stores and bulk loads).  The superblock
+        #: engine snapshots it to detect self-modifying code.
         self.version = 0
 
     def contains(self, address: int) -> bool:

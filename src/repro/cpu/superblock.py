@@ -25,6 +25,20 @@ is a one-instruction block.
   or the block exit) can observe them — dead flag writes cost nothing.
 - **Register caching.**  Architectural registers live in Python locals
   for the duration of a block and are written back at every exit.
+  Register-toggle popcounts call the builtin ``int.bit_count``.
+- **Loop-resident blocks.**  A scalar block whose terminator is a
+  B<cond> back to its own start compiles to a ``while`` loop, so a hot
+  loop never returns to the dispatch loop between iterations and its
+  registers stay in locals.  Every block takes the remaining cycle
+  budget as its one argument; before each further iteration a loop
+  block makes the dispatch loop's budget check itself.  The completed
+  iterations' executions and taken branches are booked once, at exit;
+  fault and self-modifying-code exits add them to the partial-progress
+  tuple.  Vector-mode blocks return after every iteration.
+- **Word view.**  Aligned in-region 32-bit data loads and stores index
+  ``MemoryRegion.words``, a native-order ``memoryview`` over the data
+  bytes, instead of slicing and converting four bytes (big-endian
+  hosts keep the byte-slice form).
 
 Bit-identity with the legacy engine is preserved exactly, including the
 awkward cases:
@@ -48,7 +62,8 @@ awkward cases:
 - **Cycle limits**: a block only runs when the budget covers every
   intermediate pre-instruction check the legacy loop would make
   (``cycles + guard < max_cycles`` where ``guard`` is the cycle prefix
-  before the block's last instruction).
+  before the block's last instruction); a loop-resident block repeats
+  that check before each further iteration.
 
 Everything else — undefined encodings, code outside the program region,
 a BL without its suffix, and a block whose cycle guard would cross
@@ -59,19 +74,23 @@ reference decoder, which counts and raises identically.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ExecutionError
 
 _MASK32 = 0xFFFFFFFF
 
-if hasattr(int, "bit_count"):  # Python >= 3.10
-    def _hamming(x: int) -> int:
-        return x.bit_count()
-else:  # pragma: no cover - exercised only on 3.9
-    def _hamming(x: int) -> int:
-        return bin(x).count("1")
+#: Inline aligned 32-bit data-region access.  The word view indexes
+#: native-order words, so big-endian hosts keep the byte-slice form.
+if sys.byteorder == "little":
+    _LOAD32 = "v = words[(a - {db}) >> 2]"
+    _STORE32 = "words[(a - {db}) >> 2] = r{rd}"
+else:  # pragma: no cover - no big-endian CI host
+    _LOAD32 = "o = a - {db}; v = from_bytes(data_bytes[o:o + 4], 'little')"
+    _STORE32 = "o = a - {db}; data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')"
 
 
 class _Halt(Exception):
@@ -136,13 +155,15 @@ class _Insn:
     emitted after the register write-back; it sets ``regs[15]`` and
     returns the cycles beyond the constant ``cycles`` (a taken B<cond>
     returns 2).  ``taken`` is the constant ``taken_branches`` increment
-    of one execution.
+    of one execution.  A B<cond> also records its taken ``target`` and
+    its ``cond`` expression, which a self-loop block tests per iteration.
     """
 
     __slots__ = (
         "pc", "mnem", "cycles", "loads", "stores", "writes",
         "fw", "fkill", "fr", "points", "pm_on_fault",
         "reads_regs", "writes_regs", "gen", "taken", "tail", "vec_tail",
+        "target", "cond",
     )
 
     def __init__(
@@ -165,6 +186,8 @@ class _Insn:
         taken: int = 0,
         tail: Optional[List[str]] = None,
         vec_tail: Optional[List[str]] = None,
+        target: Optional[int] = None,
+        cond: Optional[str] = None,
     ) -> None:
         self.pc = pc
         self.mnem = mnem
@@ -187,11 +210,48 @@ class _Insn:
         self.taken = taken
         self.tail = tail
         self.vec_tail = vec_tail if vec_tail is not None else tail
+        self.target = target
+        self.cond = cond
 
 
 def _no_code(i, mat, ctx) -> List[str]:
     """Generator for instructions whose whole effect is accounting."""
     return []
+
+
+def _g_load32(i, mat, ctx, rd, addr, db, de) -> List[str]:
+    """LDR generator; scalar blocks inline the aligned data-region case."""
+    if ctx.vector:
+        return [
+            f"_i = {i}",
+            f"v = read32({addr})",
+            f"tg += H(r{rd} ^ v); r{rd} = v",
+        ]
+    return [
+        f"_i = {i}",
+        f"a = {addr}",
+        f"if {db} <= a and a + 4 <= {de} and not a & 3:",
+        "    data_counters.reads += 1",
+        "    " + _LOAD32.format(db=db),
+        "else:",
+        "    v = read32(a)",
+        f"tg += H(r{rd} ^ v); r{rd} = v",
+    ]
+
+
+def _g_store32(i, mat, ctx, rd, addr, db, de) -> List[str]:
+    """STR generator; scalar blocks inline the aligned data-region case."""
+    if ctx.vector:
+        return [f"_i = {i}", f"write32({addr}, r{rd})"]
+    return [
+        f"_i = {i}",
+        f"a = {addr}",
+        f"if {db} <= a and a + 4 <= {de} and not a & 3:",
+        "    data_counters.writes += 1",
+        "    " + _STORE32.format(db=db, rd=rd),
+        "else:",
+        f"    write32(a, r{rd})",
+    ] + ctx.genchk(indent=1)
 
 
 class SuperblockEngine:
@@ -203,7 +263,7 @@ class SuperblockEngine:
 
     # The ``H`` binding in generated blocks; the vector subclass swaps
     # in a polymorphic popcount that journals lane-varying patterns.
-    _toggle_hash = staticmethod(_hamming)
+    _toggle_hash = staticmethod(int.bit_count)
 
     # The ``H2`` binding (pair-journaled toggles).  Scalar blocks never
     # emit an H2 call, so the placeholder is never invoked.
@@ -223,12 +283,14 @@ class SuperblockEngine:
         self._mem_helpers = self._make_mem_helpers(mem, self.prog, self.data)
         # Engine-health tallies, read by the observability layer after a
         # run.  Plain ints bumped only at cold points (fallback steps,
-        # invalidations, block flushes) — never per instruction.
+        # invalidations, block flushes, loop-block exits) — never per
+        # instruction or per loop iteration.
         self.fallback_steps = 0
         self.invalidations = 0
         self.blocks_translated = 0
         self.block_execs = 0
         self.block_steps = 0
+        self.loop_iterations = 0
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
@@ -365,6 +427,26 @@ class SuperblockEngine:
         self.block_steps += k
         return cycles + cyc
 
+    def _add_iterations(self, p: tuple, n: int, it: tuple) -> tuple:
+        """Partial-progress tuple ``p`` plus ``n`` completed iterations.
+
+        ``it`` is one taken iteration's totals, in ``p``'s layout.  The
+        iterations' block executions and back-edges are booked here,
+        not in the block list: on a self-modifying-code exit the store
+        has already flushed and dropped it.
+        """
+        if not n:
+            return p
+        self.cpu.stats.taken_branches += n
+        self.block_execs += n
+        self.loop_iterations += n
+        pm = Counter(dict(p[5]))
+        for m, c in it[5]:
+            pm[m] += c * n
+        return tuple(a + n * b for a, b in zip(p[:5], it[:5])) + (
+            tuple(pm.items()),
+        )
+
     # ------------------------------------------------------------------
     def run(self, max_cycles: int):
         """Run until BKPT or the cycle limit; returns the shared stats."""
@@ -395,7 +477,7 @@ class SuperblockEngine:
                 # Literal slot indices (B_GUARD, B_FN, B_EXECS, B_CYC):
                 # this loop runs once per block execution.
                 if b and cycles + b[2] < max_cycles:
-                    extra = b[0]()
+                    extra = b[0](max_cycles - cycles)
                     if extra is not None:
                         # Normal exit: ``extra`` is the terminator's
                         # cycles beyond its constant base.
@@ -529,10 +611,16 @@ class SuperblockEngine:
         written = sorted({r for d in insns for r in d.writes_regs})
         wb = "; ".join(f"regs[{r}] = r{r}" for r in written) or "pass"
         last = insns[-1]
+        # A scalar block whose B<cond> jumps back to its own start is
+        # loop-resident: it iterates in a local ``while`` loop with the
+        # registers in locals, and books the completed iterations once,
+        # at exit.  A taken iteration costs ``ct`` cycles.
+        loop = not self._vector and last.target == start
+        ct = cyc_prefix[k] + 2
 
         lines: List[str] = [
-            "def _block(regs=regs, R=R, tr=tr, H=H, H2=H2,",
-            "           from_bytes=from_bytes,",
+            "def _block(rem, regs=regs, R=R, tr=tr, H=H, H2=H2,",
+            "           from_bytes=from_bytes, words=words,",
             "           data_bytes=data_bytes, data_counters=data_counters,",
             "           read32=read32, read16=read16, read8=read8,",
             "           write32=write32, write16=write16, write8=write8):",
@@ -540,7 +628,7 @@ class SuperblockEngine:
         ]
         for r in cached:
             lines.append(f"    r{r} = regs[{r}]")
-        ctx = _GenCtx(self, wb, vector=self._vector)
+        ctx = _GenCtx(self, wb, vector=self._vector, loop=loop)
         body: List[str] = []
         for i, d in enumerate(insns):
             ctx.index, ctx.pc = i, d.pc
@@ -550,7 +638,26 @@ class SuperblockEngine:
             body = [
                 _VEC_TOGGLE_RE.sub(r"tg += H2(\1, v)", ln) for ln in body
             ]
-        if all(ln.startswith("#") for ln in body):
+        if loop:
+            # Another iteration runs only while the budget covers the
+            # dispatch loop's check, ``(n + 1) * ct + guard < rem``.
+            lines.append("    n = 0")
+            lines.append(f"    lim = (rem - {cyc_prefix[k - 1] + 1}) // {ct}")
+            body = ["while True:"] + ["    " + ln for ln in body] + [
+                f"    if {last.cond}:",
+                "        if n < lim:",
+                "            n += 1",
+                "            continue",
+                f"        {wb}",
+                "        tr.register_toggles += tg",
+                f"        B[{B_EXECS}] += n",
+                "        st.taken_branches += n + 1",
+                "        eng.loop_iterations += n",
+                f"        regs[15] = {start}",
+                f"        return 2 + n * {ct}",
+                "    break",
+            ]
+        elif all(ln.startswith("#") for ln in body):
             body.append("pass")  # e.g. a lone-branch block emits no code
         if flt:
             # Fault protocol: only blocks with memory accesses can fault.
@@ -561,13 +668,22 @@ class SuperblockEngine:
             lines.append(f"        {wb}")
             lines.append("        regs[15] = PCS[_i]")
             lines.append("        tr.register_toggles += tg")
-            lines.append("        eng._partial = FLT[_i]")
+            lines.append(f"        eng._partial = {ctx.partial('FLT[_i]')}")
             lines.append("        raise")
         else:
             lines.extend("    " + ln for ln in body)
         lines.append(f"    {wb}")
         lines.append("    tr.register_toggles += tg")
-        if last.tail is None:
+        if loop:  # fell through the back-edge
+            lines += [
+                "    if n:",
+                f"        B[{B_EXECS}] += n",
+                "        st.taken_branches += n",
+                "        eng.loop_iterations += n",
+                f"    regs[15] = {last.pc + 2}",
+                f"    return n * {ct}",
+            ]
+        elif last.tail is None:
             lines.append(f"    regs[15] = {last.pc + 2}")
             lines.append("    return 0")
         else:
@@ -583,6 +699,7 @@ class SuperblockEngine:
             "H": self._toggle_hash,
             "H2": self._toggle_hash2,
             "from_bytes": int.from_bytes,
+            "words": self.data.words,
             "data_bytes": self.data.data,
             "data_counters": self.data.counters,
             "prog_counters": self.prog.counters,
@@ -594,14 +711,19 @@ class SuperblockEngine:
             "PCS": tuple(pcs),
             "FLT": tuple(flt),
             "SMC": tuple(smc),
+            "ITER": (
+                k, ct, ld_prefix[k], st_prefix[k], wr_prefix[k],
+                tuple(pm_prefix[k].items()),
+            ),
         }
         src = "\n".join(lines)
         exec(compile(src, f"<superblock@{start:#06x}>", "exec"), ns)
-        return [
+        block = ns["B"] = [
             ns["_block"], cyc_prefix[k], cyc_prefix[k - 1], 0, k,
             ld_prefix[k], st_prefix[k], wr_prefix[k],
             tuple(pm_prefix[k].items()), last.taken,
         ]
+        return block
 
     # ------------------------------------------------------------------
     # Classification: one instruction -> codegen recipe.  Decodes in the
@@ -1306,19 +1428,7 @@ class SuperblockEngine:
         mnem = names[op]
         # Legacy counts the mnemonic *before* the access in this format.
         if op == 0:  # STR
-            def g(i, mat, ctx, rd=rd, addr=addr, db=db, de=de):
-                if ctx.vector:
-                    return [f"_i = {i}", f"write32({addr}, r{rd})"]
-                return [
-                    f"_i = {i}",
-                    f"a = {addr}",
-                    f"if {db} <= a and a + 4 <= {de} and not a & 3:",
-                    "    data_counters.writes += 1",
-                    f"    o = a - {db}",
-                    f"    data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')",
-                    "else:",
-                    f"    write32(a, r{rd})",
-                ] + ctx.genchk(indent=1)
+            g = partial(_g_store32, rd=rd, addr=addr, db=db, de=de)
             return _Insn(
                 pc, "str", 2, g, stores=1, faultable=True, pm_on_fault=True,
                 reads_regs=(rn, rm, rd),
@@ -1336,24 +1446,7 @@ class SuperblockEngine:
                 reads_regs=(rn, rm, rd),
             )
         if op == 4:  # LDR — hottest load form, inlined fast case
-            def g(i, mat, ctx, rd=rd, addr=addr, db=db, de=de):
-                if ctx.vector:
-                    return [
-                        f"_i = {i}",
-                        f"v = read32({addr})",
-                        f"tg += H(r{rd} ^ v); r{rd} = v",
-                    ]
-                return [
-                    f"_i = {i}",
-                    f"a = {addr}",
-                    f"if {db} <= a and a + 4 <= {de} and not a & 3:",
-                    "    data_counters.reads += 1",
-                    f"    o = a - {db}",
-                    "    v = from_bytes(data_bytes[o:o + 4], 'little')",
-                    "else:",
-                    "    v = read32(a)",
-                    f"tg += H(r{rd} ^ v); r{rd} = v",
-                ]
+            g = partial(_g_load32, rd=rd, addr=addr, db=db, de=de)
             return _Insn(
                 pc, "ldr", 2, g, loads=1, writes=1, faultable=True,
                 pm_on_fault=True, reads_regs=(rn, rm), writes_regs=(rd,),
@@ -1394,24 +1487,7 @@ class SuperblockEngine:
                 reads_regs=(rn,), writes_regs=(rd,),
             )
         if load:
-            def g(i, mat, ctx, rd=rd, addr=addr, db=db, de=de):
-                if ctx.vector:
-                    return [
-                        f"_i = {i}",
-                        f"v = read32({addr})",
-                        f"tg += H(r{rd} ^ v); r{rd} = v",
-                    ]
-                return [
-                    f"_i = {i}",
-                    f"a = {addr}",
-                    f"if {db} <= a and a + 4 <= {de} and not a & 3:",
-                    "    data_counters.reads += 1",
-                    f"    o = a - {db}",
-                    "    v = from_bytes(data_bytes[o:o + 4], 'little')",
-                    "else:",
-                    "    v = read32(a)",
-                    f"tg += H(r{rd} ^ v); r{rd} = v",
-                ]
+            g = partial(_g_load32, rd=rd, addr=addr, db=db, de=de)
             return _Insn(
                 pc, "ldr", 2, g, loads=1, writes=1, faultable=True,
                 reads_regs=(rn,), writes_regs=(rd,),
@@ -1427,19 +1503,7 @@ class SuperblockEngine:
                 reads_regs=(rn, rd),
             )
 
-        def g(i, mat, ctx, rd=rd, addr=addr, db=db, de=de):
-            if ctx.vector:
-                return [f"_i = {i}", f"write32({addr}, r{rd})"]
-            return [
-                f"_i = {i}",
-                f"a = {addr}",
-                f"if {db} <= a and a + 4 <= {de} and not a & 3:",
-                "    data_counters.writes += 1",
-                f"    o = a - {db}",
-                f"    data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')",
-                "else:",
-                f"    write32(a, r{rd})",
-            ] + ctx.genchk(indent=1)
+        g = partial(_g_store32, rd=rd, addr=addr, db=db, de=de)
         return _Insn(
             pc, "str", 2, g, stores=1, faultable=True, reads_regs=(rn, rd),
         )
@@ -1477,42 +1541,13 @@ class SuperblockEngine:
         offset = (insn & 0xFF) * 4
         addr = f"(r13 + {offset}) & 0xFFFFFFFF" if offset else "r13"
         if load:
-            def g(i, mat, ctx, rd=rd, addr=addr, db=db, de=de):
-                if ctx.vector:
-                    return [
-                        f"_i = {i}",
-                        f"v = read32({addr})",
-                        f"tg += H(r{rd} ^ v); r{rd} = v",
-                    ]
-                return [
-                    f"_i = {i}",
-                    f"a = {addr}",
-                    f"if {db} <= a and a + 4 <= {de} and not a & 3:",
-                    "    data_counters.reads += 1",
-                    f"    o = a - {db}",
-                    "    v = from_bytes(data_bytes[o:o + 4], 'little')",
-                    "else:",
-                    "    v = read32(a)",
-                    f"tg += H(r{rd} ^ v); r{rd} = v",
-                ]
+            g = partial(_g_load32, rd=rd, addr=addr, db=db, de=de)
             return _Insn(
                 pc, "ldr", 2, g, loads=1, writes=1, faultable=True,
                 reads_regs=(13,), writes_regs=(rd,),
             )
 
-        def g(i, mat, ctx, rd=rd, addr=addr, db=db, de=de):
-            if ctx.vector:
-                return [f"_i = {i}", f"write32({addr}, r{rd})"]
-            return [
-                f"_i = {i}",
-                f"a = {addr}",
-                f"if {db} <= a and a + 4 <= {de} and not a & 3:",
-                "    data_counters.writes += 1",
-                f"    o = a - {db}",
-                f"    data_bytes[o:o + 4] = r{rd}.to_bytes(4, 'little')",
-                "else:",
-                f"    write32(a, r{rd})",
-            ] + ctx.genchk(indent=1)
+        g = partial(_g_store32, rd=rd, addr=addr, db=db, de=de)
         return _Insn(
             pc, "str", 2, g, stores=1, faultable=True, reads_regs=(13, rd),
         )
@@ -1636,6 +1671,8 @@ class SuperblockEngine:
                 "return 0",
             ],
             vec_tail=vec_tail,
+            target=taken_pc,
+            cond=_COND_EXPR[cond],
         )
 
     def _c_push_pop(self, pc: int, insn: int) -> _Insn:
@@ -1733,10 +1770,12 @@ class _GenCtx:
         engine: SuperblockEngine,
         writeback: str,
         vector: bool = False,
+        loop: bool = False,
     ) -> None:
         self.engine = engine
         self.writeback = writeback
         self.vector = vector
+        self.loop = loop
         # Block index and pc of the instruction being generated.
         self.index = 0
         self.pc = 0
@@ -1760,6 +1799,15 @@ class _GenCtx:
             pad + f"    {self.writeback}",
             pad + f"    regs[15] = {self.pc + 2}",
             pad + "    tr.register_toggles += tg",
-            pad + f"    eng._partial = SMC[{self.index}]",
+            pad + f"    eng._partial = {self.partial(f'SMC[{self.index}]')}",
             pad + "    return None",
         ]
+
+    def partial(self, expr: str) -> str:
+        """The partial-progress tuple an early exit stashes.
+
+        A loop-resident block adds its ``n`` completed iterations.
+        """
+        if self.loop:
+            return f"eng._add_iterations({expr}, n, ITER)"
+        return expr

@@ -570,7 +570,7 @@ class VectorEngine(SuperblockEngine):
                     raise VectorBailout(
                         f"pc {pc:#010x} needs the legacy fallback"
                     )
-                extra = b[0]()
+                extra = b[0](max_cycles - cycles)
                 if type(extra) is int:
                     b[3] += 1
                     cycles += b[1] + extra

@@ -114,12 +114,15 @@ def run_workload(
             # misses that compiled a new block.  Every retired
             # instruction ran either in a block or through the legacy
             # fallback: block_steps + fallback_steps == instructions.
+            # loop_iterations counts the back-edges loop-resident
+            # blocks took without returning to the dispatch loop.
             for name in (
                 "blocks_translated",
                 "block_execs",
                 "block_steps",
                 "fallback_steps",
                 "invalidations",
+                "loop_iterations",
             ):
                 metrics.counter(f"iss.superblock.{name}").inc(
                     getattr(engine_state, name)

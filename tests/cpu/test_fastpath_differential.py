@@ -469,3 +469,122 @@ class TestTerminators:
         assert full["error"] is None
         for limit in range(1, full["cycles"] + 2):
             assert_engines_identical(source, max_cycles=limit)
+
+
+def loop_iterations(source, max_cycles=500_000_000):
+    """Back-edges the superblock engine ran inside loop-resident blocks."""
+    cpu = CortexM0(MemoryMap.embedded_system())
+    cpu.load_program(assemble(source))
+    try:
+        cpu.run(max_cycles=max_cycles, engine="superblock")
+    except ExecutionError:
+        pass
+    return cpu.superblock_engine.loop_iterations
+
+
+class TestLoopResidentBlocks:
+    """Blocks whose B<cond> jumps back to their own start.
+
+    They iterate inside the generated code and book the completed
+    iterations once, at exit; every exit path must leave the state the
+    legacy loop leaves.
+    """
+
+    def test_cycle_limit_lands_on_every_cycle_of_a_loop(self):
+        """Sweep the limit over every cycle, back-edges included."""
+        source = """
+                ldr r2, =0x20000100
+                movs r1, #6
+            loop:
+                ldr r3, [r2]
+                adds r3, r3, r1
+                str r3, [r2]
+                subs r1, r1, #1
+                bne loop
+                bkpt
+        """
+        full = assert_engines_identical(source)
+        assert full["error"] is None
+        assert full["taken_branches"] == 5
+        assert loop_iterations(source) == 4
+        for limit in range(1, full["cycles"] + 2):
+            assert_engines_identical(source, max_cycles=limit)
+
+    @pytest.mark.parametrize("access", ["ldr r3, [r2]", "str r1, [r2]"])
+    def test_fault_after_completed_iterations(self, access):
+        """A pointer walks off the end of the data region."""
+        source = f"""
+                ldr r2, ={DATA_END - 12}
+                movs r1, #10
+            loop:
+                {access}
+                adds r0, r0, r1
+                adds r2, r2, #4
+                subs r1, r1, #1
+                bne loop
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        assert "unmapped" in legacy["error"]
+        assert legacy["regs"][1] == 7  # three iterations completed
+        assert loop_iterations(source) == 2
+
+    def test_store_into_program_after_completed_iterations(self):
+        """The first pass stores to data; later passes patch the loop."""
+        # movs r0, #1 assembles to 0x2001 and is patched to 0x2007
+        # (movs r0, #7).  r5 offsets the store into the data region on
+        # the first pass only; ``b loop`` makes that pass the loop
+        # block's first iteration.
+        source = """
+                ldr r2, =patch
+                ldr r4, =0x2007
+                ldr r5, =0x20000000
+                movs r6, #0
+                movs r1, #3
+                b loop
+            loop:
+                strh r4, [r2, r5]
+                muls r5, r6
+            patch:
+                movs r0, #1
+                adds r3, r3, r0
+                subs r1, r1, #1
+                bne loop
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["regs"][3] == 1 + 7 + 7
+        assert loop_iterations(source) == 1
+
+    @pytest.mark.parametrize(
+        "setup, body, branch",
+        [
+            ("movs r0, #9", "subs r0, r0, #2\n cmp r0, #1", "bgt"),
+            ("movs r0, #0", "adds r0, r0, #1\n cmp r0, #6", "bls"),
+        ],
+    )
+    def test_multi_flag_condition(self, setup, body, branch):
+        source = f"""
+                {setup}
+            loop:
+                {body}
+                {branch} loop
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["taken_branches"] >= 3
+        assert loop_iterations(source) == legacy["taken_branches"] - 1
+
+    def test_falls_through_on_first_pass(self):
+        source = """
+                movs r1, #1
+            loop:
+                adds r0, r0, #5
+                subs r1, r1, #1
+                bne loop
+                bkpt
+        """
+        legacy = assert_engines_identical(source)
+        assert legacy["regs"][0] == 5
+        assert legacy["taken_branches"] == 0
+        assert loop_iterations(source) == 0

@@ -22,6 +22,7 @@ from repro.core.uncertainty import (
 )
 from repro.runtime.cache import ResultCache, SweepCache
 from repro.runtime.parallel import map_parallel
+from repro.workloads import matmul_int
 from repro.workloads.suite import get_workload, run_workload
 
 
@@ -92,6 +93,23 @@ class TestISSInstrumentation:
             + snap["iss.superblock.fallback_steps"]
         ) == result.instructions
         assert snap["iss.superblock.invalidations"] == 0
+
+    def test_matmul_loop_iterations_repeat_exactly(self, clean_obs):
+        """Loop-resident blocks report a stable back-edge count."""
+        workload = matmul_int.workload(n=12, repeats=4, tune=5)
+        counts = []
+        for _ in range(2):
+            obs.reset()
+            with obs.enabled_scope():
+                result = run_workload(workload, engine="auto")
+            snap = obs.get_metrics().snapshot()["counters"]
+            assert (
+                snap["iss.superblock.block_steps"]
+                + snap["iss.superblock.fallback_steps"]
+            ) == result.instructions
+            counts.append(snap["iss.superblock.loop_iterations"])
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
 
     def test_disabled_records_nothing(self, clean_obs):
         run_workload(get_workload("fib"), engine="auto")
