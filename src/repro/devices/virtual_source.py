@@ -146,7 +146,67 @@ class VirtualSourceFET(FET):
         return self.params.c_gate_f_per_um * self.width_um
 
     def transconductance(self, vgs: float, vds: float, dv: float = 1e-4):
-        """(gm, gds) by central finite differences, for MNA stamping."""
-        gm = (self.ids(vgs + dv, vds) - self.ids(vgs - dv, vds)) / (2 * dv)
-        gds = (self.ids(vgs, vds + dv) - self.ids(vgs, vds - dv)) / (2 * dv)
+        """(gm, gds) by central finite differences (see :meth:`ids_kernel`)."""
+        _ids, gm, gds = self.ids_kernel(dv)(vgs, vds)
         return gm, gds
+
+    def ids_kernel(self, dv: float):
+        """A fused ``kernel(vgs, vds) -> (ids, gm, gds)`` for the circuit
+        simulator's Newton loop.
+
+        ``ids`` is :meth:`ids` bit for bit: the parameter-only
+        subexpressions of :meth:`_charge_per_um` and
+        :meth:`_ids_forward_per_um` are evaluated once, here, and the
+        per-bias operations keep their order (a hoisted constant is
+        always a left-most factor).  gm and gds are central differences
+        with step ``dv``.  Parameters, polarity and width are read when
+        the kernel is built.  The kernel is scalar by design, hence its
+        RPL013/RPL014 pragmas; ``tests/devices/test_virtual_source.py``
+        pins it to :meth:`ids` bit for bit.
+        """
+        p = self.params
+        vt0, dibl = p.vt0_v, p.dibl_v_per_v
+        n_phi_t = p.n_ss * p.phi_t
+        q_scale = p.c_inv_f_per_um2 * p.n_ss * p.phi_t
+        l_gate = p.l_gate_um
+        vdsat = max(p.v_dsat_v, 1e-6)
+        beta = p.beta_sat
+        inv_beta = 1.0 / beta
+        v_um_per_s = p.v_x0_cm_per_s * 1e4
+        leak, phi_t = p.i_leak_floor_a_per_um, p.phi_t
+        sign, width = self.polarity.value, self.width_um
+        two_dv = 2 * dv
+
+        def forward(vgs: float, vds: float) -> float:
+            if vds == 0.0:  # repro-lint: disable=RPL004,RPL014 - exact singular point, scalar Newton kernel
+                return 0.0
+            ratio = vds / vdsat
+            f_sat = ratio / (1.0 + ratio**beta) ** inv_beta
+            eta = (vgs - (vt0 - dibl * vds)) / n_phi_t
+            if eta > 40.0:  # repro-lint: disable=RPL014 - scalar Newton kernel
+                softplus = eta
+            else:
+                softplus = math.log1p(math.exp(eta))  # repro-lint: disable=RPL013 - scalar Newton kernel
+            # (q * L) / L as in _charge_per_um / _ids_forward_per_um:
+            # the division rounds, so it is kept.
+            q_per_um2 = q_scale * softplus * l_gate / l_gate
+            intrinsic = q_per_um2 * v_um_per_s * f_sat
+            floor = leak * (1.0 - math.exp(-vds / phi_t))  # repro-lint: disable=RPL013 - scalar Newton kernel
+            return intrinsic + floor
+
+        def ids(vgs: float, vds: float) -> float:
+            vgs_n, vds_n = sign * vgs, sign * vds
+            if vds_n >= 0:  # repro-lint: disable=RPL014 - scalar Newton kernel
+                current = forward(vgs_n, vds_n)
+            else:
+                current = -forward(vgs_n - vds_n, -vds_n)
+            return sign * current * width
+
+        def kernel(vgs: float, vds: float):
+            return (
+                ids(vgs, vds),
+                (ids(vgs + dv, vds) - ids(vgs - dv, vds)) / two_dv,
+                (ids(vgs, vds + dv) - ids(vgs, vds - dv)) / two_dv,
+            )
+
+        return kernel

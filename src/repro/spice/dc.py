@@ -8,7 +8,12 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.spice.elements import VoltageSource
-from repro.spice.mna import DEFAULT_GMIN, newton_solve, solution_dict
+from repro.spice.mna import (
+    DEFAULT_GMIN,
+    booked_counts,
+    newton_solve,
+    solution_dict,
+)
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Dc
 
@@ -40,6 +45,15 @@ def dc_operating_point(
         Node name -> voltage.  Time-varying sources are evaluated at t=0.
     """
     circuit.validate()
+    with booked_counts(circuit):
+        return _operating_point(circuit, initial_guess, gmin)
+
+
+def _operating_point(
+    circuit: Circuit,
+    initial_guess: Optional[Dict[str, float]],
+    gmin: float,
+) -> Dict[str, float]:
     n = circuit.n_unknowns()
     v0 = np.zeros(n)
     if initial_guess:

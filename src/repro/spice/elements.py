@@ -1,20 +1,22 @@
 """Circuit elements.
 
-Every element knows how to *stamp* itself into the MNA residual vector and
-Jacobian.  The sign convention: the residual of a node equation is the sum
-of currents flowing OUT of the node; the solver drives all residuals to
-zero.
+Every element emits its own lines of the circuit's generated MNA
+assembler (:mod:`repro.spice.assembler`): the terms it adds to the
+residual vector and Jacobian.  The sign convention: the residual of a
+node equation is the sum of currents flowing OUT of the node; the solver
+drives all residuals to zero.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.devices.fet import FET
+from repro.devices.virtual_source import VirtualSourceFET
 from repro.errors import NetlistError
 from repro.spice.waveform import Dc
+
+#: Central-difference step (V) of the FET small-signal conductances.
+FET_STENCIL_DV = 1e-5
 
 
 class Element:
@@ -29,46 +31,11 @@ class Element:
     #: Number of extra MNA unknowns (branch currents) this element needs.
     n_branches = 0
 
-    def stamp(
-        self,
-        residual: np.ndarray,
-        jacobian: np.ndarray,
-        v: np.ndarray,
-        index: "dict[str, int]",
-        branch_offset: int,
-        t: float,
-        dt: Optional[float],
-        v_prev: Optional[np.ndarray],
-    ) -> None:
-        """Add this element's contribution at solution estimate ``v``.
-
-        Args:
-            residual: Node/branch residual vector (modified in place).
-            jacobian: System Jacobian (modified in place).
-            v: Current Newton estimate of node voltages/branch currents.
-            index: Node name -> unknown index (-1 for ground).
-            branch_offset: Index of this element's first branch unknown.
-            t: Current simulation time (0 for DC).
-            dt: Transient time step, or None for DC analysis.
-            v_prev: Previous-step solution (transient only).
-        """
+    def emit(self, asm) -> None:
+        """Add this element's lines and terms to ``asm``, an
+        :class:`~repro.spice.assembler.AssemblerSource` for one
+        analysis mode (``asm.transient`` is False for DC)."""
         raise NotImplementedError
-
-
-def _v_at(v: np.ndarray, idx: int) -> float:
-    return 0.0 if idx < 0 else float(v[idx])
-
-
-def _add(mat_or_vec, i: int, *rest) -> None:
-    """Accumulate into a vector (i, val) or matrix (i, j, val), skipping
-    ground (-1) indices."""
-    if len(rest) == 1:
-        if i >= 0:
-            mat_or_vec[i] += rest[0]
-    else:
-        j, val = rest
-        if i >= 0 and j >= 0:
-            mat_or_vec[i, j] += val
 
 
 class Resistor(Element):
@@ -80,16 +47,21 @@ class Resistor(Element):
             raise NetlistError(f"{name}: resistance must be > 0")
         self.resistance = resistance
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        g = 1.0 / self.resistance
-        current = g * (_v_at(v, a) - _v_at(v, b))
-        _add(residual, a, current)
-        _add(residual, b, -current)
-        _add(jacobian, a, a, g)
-        _add(jacobian, a, b, -g)
-        _add(jacobian, b, a, -g)
-        _add(jacobian, b, b, g)
+    def emit(self, asm) -> None:
+        a, b = asm.node(self.nodes[0]), asm.node(self.nodes[1])
+        g = asm.bind(1.0 / self.resistance)
+        current = asm.let(f"{g} * ({asm.v(a)} - {asm.v(b)})")
+        asm.conductance(a, b, current, g)
+
+
+def _emit_capacitance(asm, a: int, b: int, capacitance: float) -> None:
+    """Backward-Euler companion of a capacitor between unknowns a, b."""
+    g = asm.let(f"{asm.bind(capacitance)} / dt")
+    current = asm.let(
+        f"{g} * ({asm.v(a)} - {asm.v(b)} - "
+        f"({asm.v_prev(a)} - {asm.v_prev(b)}))"
+    )
+    asm.conductance(a, b, current, g)
 
 
 class Capacitor(Element):
@@ -110,20 +82,14 @@ class Capacitor(Element):
         self.capacitance = capacitance
         self.ic = ic
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        if dt is None:
-            return  # open circuit in DC
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        g = self.capacitance / dt
-        v_now = _v_at(v, a) - _v_at(v, b)
-        v_old = _v_at(v_prev, a) - _v_at(v_prev, b)
-        current = g * (v_now - v_old)
-        _add(residual, a, current)
-        _add(residual, b, -current)
-        _add(jacobian, a, a, g)
-        _add(jacobian, a, b, -g)
-        _add(jacobian, b, a, -g)
-        _add(jacobian, b, b, g)
+    def emit(self, asm) -> None:
+        if asm.transient:  # open circuit in DC
+            _emit_capacitance(
+                asm,
+                asm.node(self.nodes[0]),
+                asm.node(self.nodes[1]),
+                self.capacitance,
+            )
 
 
 class CurrentSource(Element):
@@ -134,11 +100,11 @@ class CurrentSource(Element):
         super().__init__(name, (n1, n2))
         self.drive = drive if hasattr(drive, "at") else Dc(float(drive))
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        i = self.drive.at(t)
-        _add(residual, a, i)
-        _add(residual, b, -i)
+    def emit(self, asm) -> None:
+        a, b = asm.node(self.nodes[0]), asm.node(self.nodes[1])
+        i = asm.let(f"{asm.bind(self)}.drive.at(t)")
+        asm.res(a, f"+ {i}")
+        asm.res(b, f"- {i}")
 
 
 class VoltageSource(Element):
@@ -154,33 +120,37 @@ class VoltageSource(Element):
         super().__init__(name, (n1, n2))
         self.drive = drive if hasattr(drive, "at") else Dc(float(drive))
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        a, b = index[self.nodes[0]], index[self.nodes[1]]
-        k = branch_offset
-        i_branch = float(v[k])
+    def emit(self, asm) -> None:
+        a, b = asm.node(self.nodes[0]), asm.node(self.nodes[1])
+        k = asm.branch(self)
         # KCL: branch current leaves n1, enters n2.
-        _add(residual, a, i_branch)
-        _add(residual, b, -i_branch)
-        _add(jacobian, a, k, 1.0)
-        _add(jacobian, b, k, -1.0)
+        asm.res(a, f"+ {asm.v(k)}")
+        asm.res(b, f"- {asm.v(k)}")
+        asm.jac(a, k, "+ 1.0")
+        asm.jac(b, k, "- 1.0")
         # Branch equation: v(n1) - v(n2) - V(t) = 0.
-        residual[k] += _v_at(v, a) - _v_at(v, b) - self.drive.at(t)
-        _add(jacobian, k, a, 1.0)
-        _add(jacobian, k, b, -1.0)
+        residual = asm.let(
+            f"{asm.v(a)} - {asm.v(b)} - {asm.bind(self)}.drive.at(t)"
+        )
+        asm.res(k, f"+ {residual}")
+        asm.jac(k, a, "+ 1.0")
+        asm.jac(k, b, "- 1.0")
 
 
 class FetElement(Element):
     """A FET instance wired (drain, gate, source).
 
-    The channel current uses the compact model; gate capacitance is
-    split half to the source and half to the drain (a standard quasi-
-    static simplification) unless ``include_gate_caps=False``.
+    The channel current, gm and gds come from the device's fused kernel
+    (:meth:`VirtualSourceFET.ids_kernel`); gate capacitance is split
+    half to the source and half to the drain (a standard quasi-static
+    simplification) unless ``include_gate_caps=False``.  The device's
+    parameters, polarity and width are read when the circuit compiles.
     """
 
     def __init__(
         self,
         name: str,
-        fet: FET,
+        fet: VirtualSourceFET,
         drain: str,
         gate: str,
         source: str,
@@ -190,37 +160,20 @@ class FetElement(Element):
         self.fet = fet
         self.include_gate_caps = include_gate_caps
 
-    def stamp(self, residual, jacobian, v, index, branch_offset, t, dt, v_prev):
-        d, g, s = (index[n] for n in self.nodes)
-        vd, vg, vs = _v_at(v, d), _v_at(v, g), _v_at(v, s)
-        vgs, vds = vg - vs, vd - vs
-        ids = self.fet.ids(vgs, vds)
-        dv = 1e-5
-        gm = (self.fet.ids(vgs + dv, vds) - self.fet.ids(vgs - dv, vds)) / (2 * dv)
-        gds = (self.fet.ids(vgs, vds + dv) - self.fet.ids(vgs, vds - dv)) / (2 * dv)
+    def emit(self, asm) -> None:
+        d, g, s = (asm.node(n) for n in self.nodes)
+        vd, vg, vs = asm.v(d), asm.v(g), asm.v(s)
+        kernel = asm.bind(self.fet.ids_kernel(FET_STENCIL_DV))
+        ids, gm, gds = asm.let(f"{kernel}({vg} - {vs}, {vd} - {vs})", 3)
         # Channel current flows d -> s inside the device.
-        _add(residual, d, ids)
-        _add(residual, s, -ids)
-        for row, sign in ((d, 1.0), (s, -1.0)):
-            _add(jacobian, row, g, sign * gm)
-            _add(jacobian, row, d, sign * gds)
-            _add(jacobian, row, s, sign * (-gm - gds))
-        if self.include_gate_caps and dt is not None:
+        asm.res(d, f"+ {ids}")
+        asm.res(s, f"- {ids}")
+        g_ss = asm.let(f"-{gm} - {gds}")
+        for row, sign in ((d, "+"), (s, "-")):
+            asm.jac(row, g, f"{sign} {gm}")
+            asm.jac(row, d, f"{sign} {gds}")
+            asm.jac(row, s, f"{sign} {g_ss}")
+        if self.include_gate_caps and asm.transient:
             c_half = self.fet.gate_capacitance_f() / 2.0
             for other in (d, s):
-                self._stamp_cap(
-                    residual, jacobian, v, v_prev, dt, g, other, c_half
-                )
-
-    @staticmethod
-    def _stamp_cap(residual, jacobian, v, v_prev, dt, a, b, cap):
-        g = cap / dt
-        v_now = _v_at(v, a) - _v_at(v, b)
-        v_old = _v_at(v_prev, a) - _v_at(v_prev, b)
-        current = g * (v_now - v_old)
-        _add(residual, a, current)
-        _add(residual, b, -current)
-        _add(jacobian, a, a, g)
-        _add(jacobian, a, b, -g)
-        _add(jacobian, b, a, -g)
-        _add(jacobian, b, b, g)
+                _emit_capacitance(asm, g, other, c_half)

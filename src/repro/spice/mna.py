@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import dataclasses
+import math
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConvergenceError
-from repro.spice.netlist import Circuit
+from repro.spice.netlist import Circuit, SolverCounts
 
 #: Conductance from every node to ground, for numerical regularization
 #: (keeps floating nodes solvable and Jacobians non-singular).
@@ -17,37 +21,13 @@ DEFAULT_GMIN = 1e-12
 MAX_NEWTON_STEP_V = 0.5
 
 
-def assemble(
-    circuit: Circuit,
-    v: np.ndarray,
-    t: float,
-    dt: Optional[float],
-    v_prev: Optional[np.ndarray],
-    gmin: float,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Build (residual, jacobian) at the estimate ``v``."""
-    n = circuit.n_unknowns()
-    n_nodes = len(circuit.nodes)
-    residual = np.zeros(n)
-    jacobian = np.zeros((n, n))
-    index = circuit.unknown_index()
-    offsets = circuit.branch_offsets()
-    for element in circuit.elements:
-        element.stamp(
-            residual,
-            jacobian,
-            v,
-            index,
-            offsets.get(element.name, -1),
-            t,
-            dt,
-            v_prev,
-        )
-    # gmin from each node to ground.
-    for i in range(n_nodes):
-        residual[i] += gmin * v[i]
-        jacobian[i, i] += gmin
-    return residual, jacobian
+def _max_abs(values: List[float]) -> float:
+    """``max(|x|)`` as ``np.max(np.abs(values))`` gives it: NaN as soon
+    as any entry is NaN (Python's ``max`` alone would skip it)."""
+    total = sum(values)
+    if total != total and any(x != x for x in values):
+        return math.nan
+    return max(map(abs, values))
 
 
 def newton_solve(
@@ -65,50 +45,86 @@ def newton_solve(
 
     Convergence requires both a small residual (KCL satisfied to
     ``abstol`` amperes) and a small last voltage update (``vtol`` volts).
+    Iterates are lists of floats between the circuit's generated
+    assembler and ``np.linalg.solve``; iterations and backtracks are
+    tallied in ``circuit.solver_counts`` once per solve.
 
     Raises :class:`ConvergenceError` if the iteration limit is reached.
     """
-    v = v0.copy()
-    residual, jacobian = assemble(circuit, v, t, dt, v_prev, gmin)
-    residual_norm = float(np.max(np.abs(residual)))
-    for _iteration in range(max_iterations):
-        try:
-            delta = np.linalg.solve(jacobian, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"{circuit.name!r}: singular Jacobian at t={t:g}"
-            ) from exc
-        # Damp large steps to keep exponential devices stable.  The cap
-        # scales with the current solution magnitude so linear circuits
-        # with large node voltages still converge geometrically.
-        step_cap = max(
-            MAX_NEWTON_STEP_V, 2.0 * float(np.max(np.abs(v))) if v.size else 0.0
-        )
-        max_step = np.max(np.abs(delta)) if delta.size else 0.0
-        if max_step > step_cap:
-            delta *= step_cap / max_step
-        # Backtracking line search: stacked exponential devices make
-        # full Newton steps oscillate; halve until the residual improves.
-        scale = 1.0
-        for _backtrack in range(12):
-            v_try = v + scale * delta
-            res_try, jac_try = assemble(circuit, v_try, t, dt, v_prev, gmin)
-            norm_try = float(np.max(np.abs(res_try)))
-            if norm_try <= residual_norm or norm_try < abstol:
-                break
-            scale *= 0.5
-        v = v + scale * delta
-        residual, jacobian = res_try, jac_try
-        applied = float(np.max(np.abs(scale * delta))) if delta.size else 0.0
-        converged_v = applied < vtol
-        converged_r = norm_try < abstol
-        residual_norm = norm_try
-        if converged_v and converged_r:
-            return v
+    assemble = circuit.assembler(transient=dt is not None)
+    n = len(v0)
+    p = None if v_prev is None else v_prev.tolist()
+    v = v0.tolist()
+    residual, jacobian = assemble(v, p, t, dt, gmin)
+    residual_norm = _max_abs(residual)
+    iterations = backtracks = 0
+    try:
+        for iterations in range(1, max_iterations + 1):
+            try:
+                delta = np.linalg.solve(
+                    np.array(jacobian).reshape(n, n),
+                    np.array([-r for r in residual]),
+                ).tolist()
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    f"{circuit.name!r}: singular Jacobian at t={t:g}"
+                ) from exc
+            # Damp large steps to keep exponential devices stable.  The
+            # cap scales with the current solution magnitude so linear
+            # circuits with large node voltages still converge
+            # geometrically.
+            step_cap = max(MAX_NEWTON_STEP_V, 2.0 * _max_abs(v))
+            max_step = _max_abs(delta)
+            if max_step > step_cap:
+                shrink = step_cap / max_step
+                delta = [d * shrink for d in delta]
+            # Backtracking line search: stacked exponential devices make
+            # full Newton steps oscillate; halve until the residual
+            # improves.
+            scale = 1.0
+            for _backtrack in range(12):
+                v_try = [x + scale * d for x, d in zip(v, delta)]
+                res_try, jac_try = assemble(v_try, p, t, dt, gmin)
+                norm_try = _max_abs(res_try)
+                if norm_try <= residual_norm or norm_try < abstol:
+                    break
+                scale *= 0.5
+                backtracks += 1
+            v = [x + scale * d for x, d in zip(v, delta)]
+            residual, jacobian = res_try, jac_try
+            applied = _max_abs([scale * d for d in delta])
+            converged_v = applied < vtol
+            converged_r = norm_try < abstol
+            residual_norm = norm_try
+            if converged_v and converged_r:
+                return np.array(v)
+    finally:
+        counts = circuit.solver_counts
+        counts.newton_solves += 1
+        counts.newton_iterations += iterations
+        counts.backtracks += backtracks
     raise ConvergenceError(
         f"{circuit.name!r}: Newton failed to converge at t={t:g} "
         f"after {max_iterations} iterations"
     )
+
+
+@contextmanager
+def booked_counts(circuit: Circuit) -> Iterator[SolverCounts]:
+    """Yield ``circuit.solver_counts``; on exit, add the analysis's
+    share of them (the growth inside the block) to the ``spice.*``
+    counters of :mod:`repro.obs`."""
+    counts = circuit.solver_counts
+    before = dataclasses.replace(counts)
+    try:
+        yield counts
+    finally:
+        metrics = obs.get_metrics()
+        if metrics.enabled:
+            for field in dataclasses.fields(SolverCounts):
+                metrics.counter(f"spice.{field.name}").inc(
+                    getattr(counts, field.name) - getattr(before, field.name)
+                )
 
 
 def solution_dict(circuit: Circuit, v: np.ndarray) -> Dict[str, float]:

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetlistError
+from repro.spice.assembler import Assembler, compile_assemblers
 from repro.spice.elements import Element
 
 #: The ground node name; its voltage is fixed at zero and eliminated.
 GROUND = "0"
+
+
+@dataclass
+class SolverCounts:
+    """Cumulative engine-health tallies of one circuit's analyses."""
+
+    circuits_compiled: int = 0
+    newton_solves: int = 0
+    newton_iterations: int = 0
+    backtracks: int = 0
+    half_step_retries: int = 0
 
 
 class Circuit:
@@ -19,6 +32,8 @@ class Circuit:
         self._elements: List[Element] = []
         self._element_names: set = set()
         self._nodes: Dict[str, int] = {}
+        self._assemblers: Optional[Tuple[Assembler, Assembler]] = None
+        self.solver_counts = SolverCounts()
 
     # -- construction ----------------------------------------------------
     def add(self, element: Element) -> Element:
@@ -31,6 +46,7 @@ class Circuit:
             self._register_node(node)
         self._element_names.add(element.name)
         self._elements.append(element)
+        self._assemblers = None
         return element
 
     def _register_node(self, node: str) -> None:
@@ -84,6 +100,17 @@ class Circuit:
                 offsets[e.name] = next_offset
                 next_offset += e.n_branches
         return offsets
+
+    def assembler(self, transient: bool) -> Assembler:
+        """The generated MNA assembler for transient (or DC) analysis.
+
+        Both modes compile together on first use and are rebuilt after
+        :meth:`add` changes the netlist (see :mod:`repro.spice.assembler`).
+        """
+        if self._assemblers is None:
+            self._assemblers = compile_assemblers(self)
+            self.solver_counts.circuits_compiled += 1
+        return self._assemblers[transient]
 
     def validate(self) -> None:
         """Check the netlist is simulatable: non-empty and grounded."""

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import AnalysisError, ConvergenceError
 from repro.spice.dc import dc_operating_point
 from repro.spice.elements import VoltageSource
-from repro.spice.mna import DEFAULT_GMIN, newton_solve
+from repro.spice.mna import DEFAULT_GMIN, booked_counts, newton_solve
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform, _trapezoid
 
@@ -114,27 +114,30 @@ def transient(
     history = np.zeros((n_steps + 1, n))
     history[0] = v
 
-    for step in range(1, n_steps + 1):
-        t = times[step]
-        v_prev = history[step - 1]
-        try:
-            v = newton_solve(
-                circuit, v_prev.copy(), t=t, dt=dt, v_prev=v_prev, gmin=gmin
-            )
-        except ConvergenceError:
-            # Retry once with a half step to get past sharp source edges.
-            half = newton_solve(
-                circuit,
-                v_prev.copy(),
-                t=t - dt / 2,
-                dt=dt / 2,
-                v_prev=v_prev,
-                gmin=gmin,
-            )
-            v = newton_solve(
-                circuit, half, t=t, dt=dt / 2, v_prev=half, gmin=gmin
-            )
-        history[step] = v
+    with booked_counts(circuit) as counts:
+        for step in range(1, n_steps + 1):
+            t = times[step]
+            v_prev = history[step - 1]
+            try:
+                v = newton_solve(
+                    circuit, v_prev, t=t, dt=dt, v_prev=v_prev, gmin=gmin
+                )
+            except ConvergenceError:
+                # Retry once with a half step to get past sharp source
+                # edges.
+                counts.half_step_retries += 1
+                half = newton_solve(
+                    circuit,
+                    v_prev,
+                    t=t - dt / 2,
+                    dt=dt / 2,
+                    v_prev=v_prev,
+                    gmin=gmin,
+                )
+                v = newton_solve(
+                    circuit, half, t=t, dt=dt / 2, v_prev=half, gmin=gmin
+                )
+            history[step] = v
 
     node_voltages = {
         node: history[:, idx] for node, idx in index.items() if idx >= 0

@@ -83,7 +83,7 @@ def assert_lane_matches(lane, reference, context=""):
     default_study_configs(),
     ids=lambda w: w.name,
 )
-def test_n1_bit_identical_to_fast_engine(workload):
+def test_n1_bit_identical_to_legacy(workload):
     """One vector lane matches the legacy interpreter, field-for-field."""
     result = run_lanes(workload.source, lanes=1)
     assert_lane_matches(

@@ -135,6 +135,27 @@ class TestFiguresOfMerit:
         assert gm > 0
         assert gds > 0
 
+    @pytest.mark.parametrize("dv", [1e-5, 1e-4])
+    def test_kernel_matches_ids_stencil(self, nfet, pfet, dv):
+        """The fused kernel is ids() and its central differences, bit
+        for bit, across polarity, reverse bias, vds = 0 and the
+        softplus overflow branch."""
+        biases = [-0.9, -0.35, -1e-5, 0.0, 1e-5, 0.35, 0.7, 2.0]
+        for fet in (nfet, pfet):
+            kernel = fet.ids_kernel(dv)
+            for vgs in biases:
+                for vds in biases:
+                    ids = fet.ids
+                    expected = (
+                        ids(vgs, vds),
+                        (ids(vgs + dv, vds) - ids(vgs - dv, vds)) / (2 * dv),
+                        (ids(vgs, vds + dv) - ids(vgs, vds - dv)) / (2 * dv),
+                    )
+                    assert kernel(vgs, vds) == expected
+        assert nfet.transconductance(0.7, 0.35, dv=dv) == (
+            nfet.ids_kernel(dv)(0.7, 0.35)[1:]
+        )
+
     def test_vt_shift_reduces_leakage(self):
         low = si_nfet("a", 1.0, vt_shift_v=0.0)
         high = si_nfet("b", 1.0, vt_shift_v=0.1)

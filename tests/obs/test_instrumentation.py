@@ -20,6 +20,9 @@ from repro.core.uncertainty import (
     ScenarioParameters,
     monte_carlo_win_probability,
 )
+from repro.edram.bitcell import m3d_bitcell
+from repro.edram.subarray import SubArrayDesign
+from repro.edram.timing import characterize
 from repro.runtime.cache import ResultCache, SweepCache
 from repro.runtime.parallel import map_parallel
 from repro.workloads import matmul_int
@@ -118,6 +121,31 @@ class TestISSInstrumentation:
         # matters is that the disabled run moved none of them.
         counters = obs.get_metrics().snapshot()["counters"]
         assert all(v == 0 for v in counters.values())
+
+
+class TestSpiceInstrumentation:
+    def test_characterize_counts_repeat_exactly(self, clean_obs):
+        """SPICE engine health is booked per analysis and is stable."""
+        names = (
+            "circuits_compiled",
+            "newton_solves",
+            "newton_iterations",
+            "backtracks",
+            "half_step_retries",
+        )
+        counts = []
+        for _ in range(2):
+            obs.reset()
+            with obs.enabled_scope():
+                characterize(SubArrayDesign(m3d_bitcell()))
+            snap = obs.get_metrics().snapshot()["counters"]
+            counts.append({name: snap[f"spice.{name}"] for name in names})
+        assert counts[0] == counts[1]
+        spice = counts[0]
+        # One write and one read transient, each compiled once.
+        assert spice["circuits_compiled"] == 2
+        assert spice["newton_solves"] > 0
+        assert spice["newton_iterations"] >= spice["newton_solves"]
 
 
 class TestCacheCounters:
