@@ -1,5 +1,7 @@
 """Tests for the figure data generators and text reports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,30 @@ class TestFig6a:
         assert "+" in text and "." in text
 
 
+#: sha256 over the Fig. 6b isolines and robust-region masks, captured
+#: before the scenario model was made array-native.
+FIG6B_DIGEST = (
+    "b51506f3a8e2bc4e50c63206f6db2e1f1b63242d2d83176b59cf12d38de13a96"
+)
+
+
+def fig6b_digest(data) -> str:
+    """Hash every isoline and mask: name, dtype, shape, then raw bytes."""
+    h = hashlib.sha256()
+    for group in ("isolines", "robust_regions"):
+        for name, array in data[group].items():
+            array = np.ascontiguousarray(array)
+            h.update(f"{group}/{name}/{array.dtype.str}/{array.shape}".encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
 class TestFig6b:
+    @pytest.mark.smoke
+    def test_golden_digest(self, case):
+        data = figures.fig6b_isoline_uncertainty(case)
+        assert fig6b_digest(data) == FIG6B_DIGEST
+
     def test_isoline_family(self, case):
         data = figures.fig6b_isoline_uncertainty(case)
         assert len(data["isolines"]) == 7  # nominal + 6 perturbations
