@@ -11,15 +11,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.case_study import CaseStudy
+from repro.analysis.sensitivity import case_study_parameters
 from repro.core.carbon_intensity import GRIDS
 from repro.core.embodied import EmbodiedCarbonModel
 from repro.core.isoline import TcdpOperatingPoint, TcdpTradeoffMap
 from repro.core.materials import MaterialsModel
 from repro.core.tcdp import edp_ratio
-from repro.core.uncertainty import (
-    IsolineUncertaintyAnalysis,
-    ScenarioParameters,
-)
+from repro.core.uncertainty import IsolineUncertaintyAnalysis
 from repro.fab import build_all_si_process, build_m3d_process
 from repro.fab.energy_data import EUV_METAL_VIA_PAIR_RECIPE, STEP_ENERGY_KWH
 from repro.fab.steps import ProcessArea
@@ -252,26 +250,7 @@ def fig6b_isoline_uncertainty(
     """The Fig. 6b isoline family: nominal plus the six perturbations
     (+/- 6 months, CI_use x3 / /3, M3D yield 10 % / 90 %)."""
     ys = op_scales if op_scales is not None else np.linspace(0.05, 2.0, 40)
-    per_month_m3d = case.m3d.total_carbon.operational.carbon_per_month_g(
-        case.m3d.total_carbon.scenario.with_lifetime(1.0)
-    )
-    per_month_si = case.all_si.total_carbon.operational.carbon_per_month_g(
-        case.all_si.total_carbon.scenario.with_lifetime(1.0)
-    )
-    params = ScenarioParameters(
-        candidate_wafer_g=case.m3d.embodied.per_wafer_g,
-        candidate_dies_per_wafer=case.m3d.dies_per_wafer,
-        candidate_yield=case.m3d.yield_fraction,
-        candidate_op_per_month_g=per_month_m3d,
-        baseline_wafer_g=case.all_si.embodied.per_wafer_g,
-        baseline_dies_per_wafer=case.all_si.dies_per_wafer,
-        baseline_yield=case.all_si.yield_fraction,
-        baseline_op_per_month_g=per_month_si,
-        lifetime_months=lifetime_months,
-        execution_time_ratio=(
-            case.m3d.execution_time_s / case.all_si.execution_time_s
-        ),
-    )
+    params = case_study_parameters(case, lifetime_months)
     analysis = IsolineUncertaintyAnalysis(params)
     xs = np.linspace(0.05, 3.0, 30)
     return {

@@ -118,7 +118,11 @@ def render_tornado(entries: List[SensitivityEntry]) -> str:
 
 
 def case_study_parameters(case, lifetime_months: float = 24.0) -> ScenarioParameters:
-    """Extract :class:`ScenarioParameters` from a built case study."""
+    """Extract :class:`ScenarioParameters` from a built case study.
+
+    The one extraction of the nominal scenario: Fig. 6b, the tornado,
+    the Monte Carlo map and each served grid's nominal all start here.
+    """
     per_month_m3d = case.m3d.total_carbon.operational.carbon_per_month_g(
         case.m3d.total_carbon.scenario.with_lifetime(1.0)
     )

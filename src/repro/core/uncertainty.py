@@ -2,35 +2,41 @@
 
 Section III-D: the tCDP isoline moves when the underlying assumptions move
 — system lifetime (+/- 6 months), CI_use (x3 / /3), and M3D yield
-(10 % / 90 %).  This module provides:
+(10 % / 90 %).  This module holds the one scenario model every answer
+about those assumptions runs through:
 
-- :class:`ParameterPerturbation` — a named change to the scenario
-  parameters;
-- :class:`IsolineUncertaintyAnalysis` — rebuilds the trade-off map under
-  each perturbation and reports the family of isolines, plus the
+- :class:`ScenarioParameters` — both designs' carbon inputs.  Fields are
+  floats or broadcastable arrays, and :meth:`ScenarioParameters.components`
+  is the single carbon-component formula, so a scalar point, a batch of
+  served queries, a perturbation family and a Monte Carlo chunk all
+  evaluate the same float operations in the same order;
+- :func:`paper_perturbations` — the six Fig. 6b transforms, written once
+  and element-wise, so they apply to scalar and array scenarios alike;
+- :class:`IsolineUncertaintyAnalysis` — the family of isolines, plus the
   *robust-win regions*: points where one design is better under every
-  perturbation considered;
+  perturbation considered (one stacked ``(scenarios, y, x)`` grid);
 - :func:`monte_carlo_win_probability` — samples parameter distributions
   and estimates, per (x, y) grid point, the probability that the candidate
   design has better tCDP.
 
 The Monte Carlo is *batched*: all samples are drawn up front with the
-NumPy generator (:func:`draw_monte_carlo_samples`) and the win indicator
-is evaluated as one ``(samples, op_scales, emb_scales)`` grid computation
-on the same kernel as :meth:`TcdpTradeoffMap.ratio_grid`, optionally
-chunked over the :mod:`repro.runtime.parallel` process pool and memoized
-through a :class:`repro.runtime.cache.SweepCache`.  The per-sample
-reference loop survives as :func:`monte_carlo_win_probability_legacy`;
-both consume the same drawn samples, so for a fixed seed the two are
-bit-identical.
+NumPy generator (:func:`draw_monte_carlo_samples`), each chunk of them
+becomes one array-valued scenario, and the win indicator is evaluated as
+one ``(samples, op_scales, emb_scales)`` grid on the same kernel as
+:meth:`TcdpTradeoffMap.ratio_grid`, optionally chunked over the
+:mod:`repro.runtime.parallel` process pool and memoized through a
+:class:`repro.runtime.cache.SweepCache`.  The per-sample reference loop
+survives as :func:`monte_carlo_win_probability_legacy`; both consume the
+same drawn samples, so for a fixed seed the two are bit-identical.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -63,53 +69,109 @@ class ScenarioParameters:
 
     - embodied per good die = wafer carbon / (dies per wafer * yield);
     - operational = ci_use_scale * per-month op carbon * lifetime.
+
+    Any field may be a float or a NumPy array; array fields broadcast
+    together, so one instance can carry a whole batch of scenarios
+    (Monte Carlo samples, a perturbation family, a batch of served
+    queries).  :meth:`tradeoff_map` needs a scalar scenario, since it
+    memoizes on the (hashable) field values.
     """
 
-    candidate_wafer_g: float
-    candidate_dies_per_wafer: float
-    candidate_yield: float
-    candidate_op_per_month_g: float
-    baseline_wafer_g: float
-    baseline_dies_per_wafer: float
-    baseline_yield: float
-    baseline_op_per_month_g: float
-    lifetime_months: float
-    ci_use_scale: float = 1.0
-    execution_time_ratio: float = 1.0  # candidate time / baseline time
+    candidate_wafer_g: "float | np.ndarray"
+    candidate_dies_per_wafer: "float | np.ndarray"
+    candidate_yield: "float | np.ndarray"
+    candidate_op_per_month_g: "float | np.ndarray"
+    baseline_wafer_g: "float | np.ndarray"
+    baseline_dies_per_wafer: "float | np.ndarray"
+    baseline_yield: "float | np.ndarray"
+    baseline_op_per_month_g: "float | np.ndarray"
+    lifetime_months: "float | np.ndarray"
+    ci_use_scale: "float | np.ndarray" = 1.0
+    execution_time_ratio: "float | np.ndarray" = 1.0  # candidate / baseline time
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.candidate_yield <= 1.0):
+        # Element-wise checks: a float field yields a plain bool and costs
+        # no NumPy call; an array field must hold at every element.
+        ok = (0.0 < self.candidate_yield) & (self.candidate_yield <= 1.0)
+        if not (ok if ok.__class__ is bool else ok.all()):
             raise CarbonModelError(f"bad candidate yield {self.candidate_yield}")
-        if not (0.0 < self.baseline_yield <= 1.0):
+        ok = (0.0 < self.baseline_yield) & (self.baseline_yield <= 1.0)
+        if not (ok if ok.__class__ is bool else ok.all()):
             raise CarbonModelError(f"bad baseline yield {self.baseline_yield}")
-        if self.lifetime_months < 0:
+        bad = self.lifetime_months < 0
+        if bad if bad.__class__ is bool else bad.any():
             raise CarbonModelError("lifetime must be >= 0")
-        if self.ci_use_scale < 0:
+        bad = self.ci_use_scale < 0
+        if bad if bad.__class__ is bool else bad.any():
             raise CarbonModelError("CI_use scale must be >= 0")
 
-    def candidate_point(self) -> TcdpOperatingPoint:
-        emb = self.candidate_wafer_g / (
-            self.candidate_dies_per_wafer * self.candidate_yield
-        )
-        op = (
+    @classmethod
+    def stack(
+        cls, scenarios: Sequence["ScenarioParameters"]
+    ) -> "ScenarioParameters":
+        """One array-valued scenario whose row ``i`` is ``scenarios[i]``.
+
+        A field that differs between the scenarios becomes an array of
+        shape ``(len(scenarios), *shape)``, where ``shape`` broadcasts
+        the first scenario's fields.  A field they all share (the same
+        object, as :func:`dataclasses.replace` leaves untouched fields)
+        is kept as it is, and broadcasts against the stacked ones.
+        """
+        first = scenarios[0]
+        shape = np.broadcast(
+            *[getattr(first, name) for name in _SCENARIO_FIELDS]
+        ).shape
+        fields = {}
+        for name in _SCENARIO_FIELDS:
+            values = [getattr(s, name) for s in scenarios]
+            if all(v is values[0] for v in values):
+                fields[name] = values[0]
+            elif not shape:
+                fields[name] = np.array(values, dtype=float)
+            else:
+                rows = np.empty((len(values),) + shape)
+                for i, value in enumerate(values):
+                    rows[i] = value
+                fields[name] = rows
+        return cls(**fields)
+
+    def components(self) -> Tuple[Any, Any, Any, Any]:
+        """``(candidate embodied, candidate operational, baseline
+        embodied, baseline operational)`` carbon in g.
+
+        The one carbon-component formula: scalar points, Monte Carlo
+        chunks, perturbation families and served batches all evaluate
+        it, element-wise in the same float-op order, so their results
+        agree bit for bit.
+        """
+        return (
+            self.candidate_wafer_g
+            / (self.candidate_dies_per_wafer * self.candidate_yield),
             self.ci_use_scale
             * self.candidate_op_per_month_g
-            * self.lifetime_months
-        )
-        return TcdpOperatingPoint(
-            emb, op, execution_time_s=self.execution_time_ratio
-        )
-
-    def baseline_point(self) -> TcdpOperatingPoint:
-        emb = self.baseline_wafer_g / (
-            self.baseline_dies_per_wafer * self.baseline_yield
-        )
-        op = (
+            * self.lifetime_months,
+            self.baseline_wafer_g
+            / (self.baseline_dies_per_wafer * self.baseline_yield),
             self.ci_use_scale
             * self.baseline_op_per_month_g
-            * self.lifetime_months
+            * self.lifetime_months,
         )
-        return TcdpOperatingPoint(emb, op, execution_time_s=1.0)
+
+    def points(self) -> Tuple[TcdpOperatingPoint, TcdpOperatingPoint]:
+        """The (candidate, baseline) operating points of a scalar scenario."""
+        cand_emb, cand_op, base_emb, base_op = self.components()
+        return (
+            TcdpOperatingPoint(
+                cand_emb, cand_op, execution_time_s=self.execution_time_ratio
+            ),
+            TcdpOperatingPoint(base_emb, base_op, execution_time_s=1.0),
+        )
+
+    def candidate_point(self) -> TcdpOperatingPoint:
+        return self.points()[0]
+
+    def baseline_point(self) -> TcdpOperatingPoint:
+        return self.points()[1]
 
     def tradeoff_map(self) -> TcdpTradeoffMap:
         """The trade-off map for these parameters, memoized.
@@ -121,9 +183,12 @@ class ScenarioParameters:
         return _build_tradeoff_map(self)
 
 
+_SCENARIO_FIELDS = tuple(f.name for f in fields(ScenarioParameters))
+
+
 @functools.lru_cache(maxsize=1024)
 def _build_tradeoff_map(params: ScenarioParameters) -> TcdpTradeoffMap:
-    return TcdpTradeoffMap(params.candidate_point(), params.baseline_point())
+    return TcdpTradeoffMap(*params.points())
 
 
 @dataclass(frozen=True)
@@ -132,6 +197,13 @@ class ParameterPerturbation:
 
     name: str
     apply: Callable[[ScenarioParameters], ScenarioParameters]
+
+
+def _at_least_zero(value: "float | np.ndarray") -> "float | np.ndarray":
+    """``max(0, value)`` for a float or, element-wise, an array."""
+    if isinstance(value, np.ndarray):
+        return np.maximum(0.0, value)
+    return max(0.0, value)
 
 
 def paper_perturbations(
@@ -143,7 +215,9 @@ def paper_perturbations(
     """The exact perturbation set of Fig. 6b.
 
     Six perturbations: lifetime +/- 6 months (red dashed lines), CI_use
-    x3 and /3 (green), and candidate (M3D) yield at 10 % and 90 % (purple).
+    x3 and /3 (green), and candidate (M3D) yield at 10 % and 90 %
+    (purple).  Each transform is element-wise, so it applies to an
+    array-valued scenario as it does to a scalar one.
     """
     if ci_scale <= 0:
         raise CarbonModelError("CI scale must be > 0")
@@ -158,8 +232,8 @@ def paper_perturbations(
             f"lifetime -{lifetime_delta_months:g} mo",
             lambda p: replace(
                 p,
-                lifetime_months=max(
-                    0.0, p.lifetime_months - lifetime_delta_months
+                lifetime_months=_at_least_zero(
+                    p.lifetime_months - lifetime_delta_months
                 ),
             ),
         ),
@@ -182,14 +256,6 @@ def paper_perturbations(
     ]
 
 
-def _perturbed_ratio_grid(
-    payload: Tuple[ScenarioParameters, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Worker-side ratio grid for one perturbed scenario (picklable)."""
-    params, emb_scales, op_scales = payload
-    return params.tradeoff_map().ratio_grid(emb_scales, op_scales)
-
-
 class IsolineUncertaintyAnalysis:
     """Family of tCDP isolines under parameter perturbations (Fig. 6b)."""
 
@@ -205,7 +271,7 @@ class IsolineUncertaintyAnalysis:
             else paper_perturbations()
         )
         # The nominal map is perturbation-independent: build it once and
-        # reuse it across isolines(), robust_regions(), and repeat calls.
+        # reuse it across repeat isolines() calls.
         self._nominal_map = nominal.tradeoff_map()
 
     def _perturbed_parameters(self) -> List[ScenarioParameters]:
@@ -229,7 +295,6 @@ class IsolineUncertaintyAnalysis:
         self,
         emb_scales: np.ndarray,
         op_scales: np.ndarray,
-        jobs: Optional[int] = 1,
     ) -> Dict[str, np.ndarray]:
         """Boolean masks over the (y, x) grid.
 
@@ -237,30 +302,25 @@ class IsolineUncertaintyAnalysis:
         *and* every perturbation; ``baseline_always`` — candidate loses
         everywhere; the rest is the uncertain band.  These are the
         "regions in which the M3D design maintains better tCDP vs. the
-        all-Si design (and vice versa)" of Sec. III-D.
-
-        ``jobs`` fans the perturbation family out over the runtime
-        process pool (``1`` = serial in-process, ``None`` = one worker
-        per CPU); the result is identical either way.
+        all-Si design (and vice versa)" of Sec. III-D.  The nominal and
+        its perturbations are one stacked scenario, evaluated as one
+        ``(scenarios, y, x)`` ratio grid.
         """
-        x = np.asarray(emb_scales, dtype=float)
-        y = np.asarray(op_scales, dtype=float)
-        nominal_grid = self._nominal_map.ratio_grid(x, y)
-        if jobs == 1 or len(self.perturbations) <= 1:
-            perturbed = [
-                params.tradeoff_map().ratio_grid(x, y)
-                for params in self._perturbed_parameters()
-            ]
-        else:
-            from repro.runtime.parallel import map_parallel
-
-            perturbed = map_parallel(
-                _perturbed_ratio_grid,
-                [(params, x, y) for params in self._perturbed_parameters()],
-                jobs=jobs,
-                label="uncertainty.perturbation",
-            )
-        ratios = np.stack([nominal_grid] + perturbed, axis=0)
+        members = [self.nominal] + self._perturbed_parameters()
+        family = ScenarioParameters.stack(members)
+        # A component no perturbation touches stays scalar; the grid
+        # kernel wants one entry per scenario.
+        cand_emb, cand_op, base_emb, base_op = (
+            np.broadcast_to(c, (len(members),)) for c in family.components()
+        )
+        ratios = batched_ratio_grid(
+            cand_emb,
+            cand_op,
+            np.broadcast_to(family.execution_time_ratio, (len(members),)),
+            (base_emb + base_op) * 1.0,  # baseline execution time is 1 s
+            emb_scales,
+            op_scales,
+        )
         candidate_always = np.all(ratios < 1.0, axis=0)
         baseline_always = np.all(ratios >= 1.0, axis=0)
         return {
@@ -327,75 +387,28 @@ def draw_monte_carlo_samples(
     return MonteCarloSamples(lifetimes, ci_scales, yields)
 
 
-def batched_scenario_components(
-    candidate_wafer_g: "float | np.ndarray",
-    candidate_dies_per_wafer: "float | np.ndarray",
-    candidate_yields: "float | np.ndarray",
-    candidate_op_per_month_g: "float | np.ndarray",
-    baseline_wafer_g: "float | np.ndarray",
-    baseline_dies_per_wafer: "float | np.ndarray",
-    baseline_yield: "float | np.ndarray",
-    baseline_op_per_month_g: "float | np.ndarray",
-    lifetime_months: "float | np.ndarray",
-    ci_use_scales: "float | np.ndarray",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Carbon components for a batch of scenarios, as four arrays.
-
-    Returns ``(cand_embodied_g, cand_operational_g, base_embodied_g,
-    base_operational_g)``; every argument broadcasts, so callers can mix
-    shared scalars (one nominal scenario, varying samples) with per-entry
-    arrays (the serving layer, where each request carries its own base).
-    Element-wise this performs the same float operations, in the same
-    order, as :meth:`ScenarioParameters.candidate_point` /
-    :meth:`ScenarioParameters.baseline_point` rebuilt per entry, which
-    makes batched evaluation bit-identical to a per-scenario loop — the
-    contract both the Monte Carlo sweep and the query server's request
-    coalescing rely on.
-    """
-    ci_use = np.asarray(ci_use_scales, dtype=float)
-    lifetimes = np.asarray(lifetime_months, dtype=float)
-    cand_emb = np.asarray(candidate_wafer_g, dtype=float) / (
-        np.asarray(candidate_dies_per_wafer, dtype=float)
-        * np.asarray(candidate_yields, dtype=float)
-    )
-    cand_op = ci_use * candidate_op_per_month_g * lifetimes
-    base_emb = np.asarray(baseline_wafer_g, dtype=float) / (
-        np.asarray(baseline_dies_per_wafer, dtype=float)
-        * np.asarray(baseline_yield, dtype=float)
-    )
-    base_op = ci_use * baseline_op_per_month_g * lifetimes
-    return cand_emb, cand_op, base_emb, base_op
-
-
 def _mc_chunk_win_counts(
     payload: Tuple[ScenarioParameters, np.ndarray, np.ndarray, MonteCarloSamples],
 ) -> np.ndarray:
     """Win counts over one sample chunk: shape (op_scales, emb_scales).
 
-    The candidate/baseline carbon components are computed with the same
-    float operations, in the same order, as ``ScenarioParameters``
-    rebuilt per sample — the batched sweep is bit-identical to the
-    legacy loop by construction.
+    The chunk is one array-valued :class:`ScenarioParameters`, so its
+    carbon components come from the same formula, element for element,
+    as the legacy loop's per-sample scenarios.
     """
     nominal, x, y, samples = payload
-    cand_emb, cand_op, base_emb, base_op = batched_scenario_components(
-        nominal.candidate_wafer_g,
-        nominal.candidate_dies_per_wafer,
-        samples.yields,
-        nominal.candidate_op_per_month_g,
-        nominal.baseline_wafer_g,
-        nominal.baseline_dies_per_wafer,
-        nominal.baseline_yield,
-        nominal.baseline_op_per_month_g,
-        samples.lifetime_months,
-        nominal.ci_use_scale * samples.ci_scales,
+    scenario = replace(
+        nominal,
+        lifetime_months=samples.lifetime_months,
+        ci_use_scale=nominal.ci_use_scale * samples.ci_scales,
+        candidate_yield=samples.yields,
     )
-    base_tcdp = (base_emb + base_op) * 1.0  # baseline execution time is 1 s
+    cand_emb, cand_op, base_emb, base_op = scenario.components()
     ratios = batched_ratio_grid(
         cand_emb,
         cand_op,
-        nominal.execution_time_ratio,
-        base_tcdp,
+        scenario.execution_time_ratio,
+        (base_emb + base_op) * 1.0,  # baseline execution time is 1 s
         x,
         y,
     )

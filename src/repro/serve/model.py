@@ -7,17 +7,23 @@ where the point sits relative to the Fig. 6a isoline, the Fig. 6b
 robustness verdict under the six paper perturbations, and the Fig. 5
 tCDP-ratio-vs-lifetime trajectory with its crossover month.
 
-Two evaluators produce byte-identical responses:
+Both evaluators run one scenario model: a query's scenario is its
+grid's case-study nominal (:func:`~repro.analysis.sensitivity.case_study_parameters`)
+with the query's lifetime, CI_use scale and M3D yield, and the
+perturbations are :func:`~repro.core.uncertainty.paper_perturbations`.
+They differ only in how they dispatch it, and produce byte-identical
+responses:
 
 - :func:`evaluate_point_scalar` — the *serial-dispatch control*: one
-  request walked through the existing scalar model stack
+  request walked through the scalar model stack
   (:class:`~repro.core.uncertainty.ScenarioParameters`,
-  :class:`~repro.core.isoline.TcdpTradeoffMap`,
-  :func:`~repro.core.uncertainty.paper_perturbations`), exactly as a
-  naive one-request-at-a-time server would;
-- :func:`evaluate_points_batched` — the coalesced tensor path: a whole
-  batch of concurrent queries evaluated as ``(scenarios, batch)``
-  arrays on :func:`~repro.core.uncertainty.batched_scenario_components`
+  :class:`~repro.core.isoline.TcdpTradeoffMap`), one trade-off map per
+  scenario and month, exactly as a naive one-request-at-a-time server
+  would;
+- :func:`evaluate_points_batched` — the coalesced tensor path: the
+  batch's scenarios stacked into one array-valued
+  :class:`~repro.core.uncertainty.ScenarioParameters`, perturbed once,
+  and evaluated on :meth:`~repro.core.uncertainty.ScenarioParameters.components`
   and :func:`~repro.core.isoline.batched_ratio_points`, amortizing the
   per-call dispatch cost the scalar stack pays per request.
 
@@ -25,8 +31,9 @@ The float operations agree element for element (the same contract the
 batched Monte Carlo engine honors against its legacy loop), so the
 request batcher can coalesce freely: clients cannot tell, bit for bit,
 how large a batch their query rode in.  ``tests/serve/test_model.py``
-pins this differentially and ``repro bench-serve`` re-checks it on
-every benchmark run.
+pins this differentially, ``tests/serve/test_golden_digests.py`` pins
+the answers themselves, and ``repro bench-serve`` re-checks the
+equality on every benchmark run.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ import numpy as np
 from repro.core.isoline import batched_ratio_points
 from repro.core.uncertainty import (
     ScenarioParameters,
-    batched_scenario_components,
     monte_carlo_win_probability,
     paper_perturbations,
 )
@@ -50,7 +56,6 @@ __all__ = [
     "QueryError",
     "PointQuery",
     "GridQuery",
-    "ScenarioBase",
     "ModelContext",
     "evaluate_point_scalar",
     "evaluate_points_batched",
@@ -283,90 +288,29 @@ class GridQuery:
         )
 
 
-@dataclass(frozen=True)
-class ScenarioBase:
-    """The per-(grid, clock) nominal scenario a query perturbs.
-
-    Derived once from the Sec. III case study (the same extraction as
-    ``fig6b_isoline_uncertainty``): wafer-level embodied carbon, die
-    counts, demonstration yields, per-month operational carbon for both
-    implementations, and the execution-time ratio.
-    """
-
-    grid: str
-    clock_mhz: float
-    candidate_wafer_g: float
-    candidate_dies_per_wafer: float
-    candidate_yield: float
-    candidate_op_per_month_g: float
-    baseline_wafer_g: float
-    baseline_dies_per_wafer: float
-    baseline_yield: float
-    baseline_op_per_month_g: float
-    execution_time_ratio: float
-
-    def scenario(self, query: PointQuery) -> ScenarioParameters:
-        """The scalar-stack parameters for one query over this base."""
-        return ScenarioParameters(
-            candidate_wafer_g=self.candidate_wafer_g,
-            candidate_dies_per_wafer=self.candidate_dies_per_wafer,
-            candidate_yield=(
-                query.candidate_yield
-                if query.candidate_yield is not None
-                else self.candidate_yield
-            ),
-            candidate_op_per_month_g=self.candidate_op_per_month_g,
-            baseline_wafer_g=self.baseline_wafer_g,
-            baseline_dies_per_wafer=self.baseline_dies_per_wafer,
-            baseline_yield=self.baseline_yield,
-            baseline_op_per_month_g=self.baseline_op_per_month_g,
-            lifetime_months=query.lifetime_months,
-            ci_use_scale=query.ci_use_scale,
-            execution_time_ratio=self.execution_time_ratio,
-        )
-
-
 @functools.lru_cache(maxsize=64)
-def _build_base(grid: str, clock_mhz: float) -> ScenarioBase:
-    """Build one nominal scenario from the case study (memoized)."""
+def _build_nominal(grid: str, clock_mhz: float) -> ScenarioParameters:
+    """One grid's nominal scenario from the case study (memoized)."""
     from repro.analysis.case_study import build_case_study
+    from repro.analysis.sensitivity import case_study_parameters
     from repro.core.operational import UsageScenario
 
-    case = build_case_study(
-        clock_hz=clock_mhz * 1e6,
-        scenario=UsageScenario(lifetime_months=24.0),
-        grid=grid,
-    )
-    per_month_m3d = case.m3d.total_carbon.operational.carbon_per_month_g(
-        case.m3d.total_carbon.scenario.with_lifetime(1.0)
-    )
-    per_month_si = case.all_si.total_carbon.operational.carbon_per_month_g(
-        case.all_si.total_carbon.scenario.with_lifetime(1.0)
-    )
-    return ScenarioBase(
-        grid=grid,
-        clock_mhz=clock_mhz,
-        candidate_wafer_g=case.m3d.embodied.per_wafer_g,
-        candidate_dies_per_wafer=float(case.m3d.dies_per_wafer),
-        candidate_yield=case.m3d.yield_fraction,
-        candidate_op_per_month_g=per_month_m3d,
-        baseline_wafer_g=case.all_si.embodied.per_wafer_g,
-        baseline_dies_per_wafer=float(case.all_si.dies_per_wafer),
-        baseline_yield=case.all_si.yield_fraction,
-        baseline_op_per_month_g=per_month_si,
-        execution_time_ratio=(
-            case.m3d.execution_time_s / case.all_si.execution_time_s
-        ),
+    return case_study_parameters(
+        build_case_study(
+            clock_hz=clock_mhz * 1e6,
+            scenario=UsageScenario(lifetime_months=24.0),
+            grid=grid,
+        )
     )
 
 
 class ModelContext:
-    """Everything the handlers share: warm bases and the sweep cache.
+    """Everything the handlers share: warm nominals and the sweep cache.
 
-    One instance lives for the whole server process.  Building a base is
-    a full case-study construction, so :meth:`warm` runs at startup —
-    the first request never pays it — and further (grid, clock) pairs
-    are memoized on first use.
+    One instance lives for the whole server process.  Building a nominal
+    scenario is a full case-study construction, so :meth:`warm` runs at
+    startup — the first request never pays it — and further (grid,
+    clock) pairs are memoized on first use.
     """
 
     def __init__(
@@ -384,16 +328,32 @@ class ModelContext:
         self._lock = threading.Lock()
 
     def warm(self) -> int:
-        """Pre-build every configured base; returns the count built."""
+        """Pre-build every configured nominal; returns the count built."""
         for grid in self.grids:
-            self.base(grid, self.clock_mhz)
+            self.nominal(grid, self.clock_mhz)
         return len(self.grids)
 
-    def base(self, grid: str, clock_mhz: float) -> ScenarioBase:
+    def nominal(self, grid: str, clock_mhz: float) -> ScenarioParameters:
+        """The case-study scenario of one (grid, clock) pair."""
         # The lru_cache is not re-entrant under free threading; serialize
         # builds so concurrent cold paths cannot race.
         with self._lock:
-            return _build_base(grid, clock_mhz)
+            return _build_nominal(grid, clock_mhz)
+
+    def scenario(self, query: "PointQuery | GridQuery") -> ScenarioParameters:
+        """The scalar scenario a query asks about: its nominal with the
+        query's lifetime, CI_use scale and (optional) M3D yield."""
+        nominal = self.nominal(query.grid, query.clock_mhz)
+        return replace(
+            nominal,
+            candidate_yield=(
+                query.candidate_yield
+                if query.candidate_yield is not None
+                else nominal.candidate_yield
+            ),
+            lifetime_months=query.lifetime_months,
+            ci_use_scale=query.ci_use_scale,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +370,7 @@ def _finite(value: float) -> Optional[float]:
 
 def _point_response(
     query: PointQuery,
-    cand_yield: float,
-    cand_emb: float,
-    cand_op: float,
-    base_emb: float,
-    base_op: float,
-    time_ratio: float,
+    scenario: ScenarioParameters,
     ratio: float,
     iso_emb: float,
     iso_op: float,
@@ -429,7 +384,8 @@ def _point_response(
     the envelope across rows is the Fig. 5 trajectory under Fig. 6b
     uncertainty, and its crossings give the robust crossover window.
     """
-    cand_tcdp = (cand_emb + cand_op) * time_ratio
+    cand_emb, cand_op, base_emb, base_op = scenario.components()
+    cand_tcdp = (cand_emb + cand_op) * scenario.execution_time_ratio
     base_tcdp = (base_emb + base_op) * 1.0
     robustness = {
         pert.name: float(r)
@@ -455,7 +411,7 @@ def _point_response(
             "clock_mhz": query.clock_mhz,
             "lifetime_months": query.lifetime_months,
             "ci_use_scale": query.ci_use_scale,
-            "candidate_yield": cand_yield,
+            "candidate_yield": scenario.candidate_yield,
             "emb_scale": query.emb_scale,
             "op_scale": query.op_scale,
         },
@@ -503,11 +459,8 @@ def evaluate_point_scalar(
     per scenario and per lifetime month — exactly as a server without a
     batcher would compute it.
     """
-    base = context.base(query.grid, query.clock_mhz)
-    params = base.scenario(query)
+    params = context.scenario(query)
     tmap = params.tradeoff_map()
-    candidate = params.candidate_point()
-    baseline = params.baseline_point()
     ratio = tmap.ratio(query.emb_scale, query.op_scale)
     iso_emb = tmap.isoline_emb_scale(query.op_scale)
     iso_op = tmap.isoline_op_scale(query.emb_scale)
@@ -542,12 +495,7 @@ def evaluate_point_scalar(
         )
     return _point_response(
         query,
-        params.candidate_yield,
-        candidate.embodied_g,
-        candidate.operational_g,
-        baseline.embodied_g,
-        baseline.operational_g,
-        base.execution_time_ratio,
+        params,
         ratio,
         iso_emb,
         iso_op,
@@ -561,140 +509,57 @@ def evaluate_points_batched(
 ) -> List[Dict[str, Any]]:
     """Coalesced tensor path: N queries in one batched evaluation.
 
-    Builds ``(7, n)`` scenario arrays — nominal plus the six paper
-    perturbations — and one ``(n, months)`` lifetime sheet, then runs
-    :func:`batched_scenario_components` / :func:`batched_ratio_points`
-    once each.  Element-wise the float operations match the scalar
-    stack, so responses are byte-identical to
-    :func:`evaluate_point_scalar` regardless of batch size.
+    The queries' scenarios are stacked into one array-valued
+    :class:`ScenarioParameters` over a ``(lifetimes, queries)`` grid,
+    whose lifetime axis is the query's own lifetime followed by the
+    Fig. 5 months.  The six paper perturbations apply to it once, and
+    the stacked ``(7, lifetimes, queries)`` family runs through
+    :meth:`ScenarioParameters.components` and
+    :func:`batched_ratio_points` in one pass each.  Element-wise the
+    float operations match the scalar stack, so responses are
+    byte-identical to :func:`evaluate_point_scalar` regardless of batch
+    size.
     """
-    n = len(queries)
-    bases = [context.base(q.grid, q.clock_mhz) for q in queries]
-    lts = np.array([q.lifetime_months for q in queries])
-    cis = np.array([q.ci_use_scale for q in queries])
-    yields = np.array(
-        [
-            q.candidate_yield
-            if q.candidate_yield is not None
-            else b.candidate_yield
-            for q, b in zip(queries, bases)
-        ]
+    scenarios = [context.scenario(q) for q in queries]
+    batch = ScenarioParameters.stack(scenarios)
+    # Lifetime row 0 is the query's lifetime, rows 1.. the Fig. 5
+    # months; each perturbation then applies to every row at once, as
+    # the scalar control applies it to each month-scenario.
+    lifetimes = np.empty((1 + len(LIFETIME_AXIS_MONTHS), len(queries)))
+    lifetimes[0] = batch.lifetime_months
+    lifetimes[1:] = np.array(LIFETIME_AXIS_MONTHS)[:, None]
+    nominal = replace(batch, lifetime_months=lifetimes)
+    family = ScenarioParameters.stack(
+        [nominal] + [pert.apply(nominal) for pert in _PERTURBATIONS]
     )
+    cand_emb, cand_op, base_emb, base_op = family.components()
+    base_tcdp = (base_emb + base_op) * 1.0
     xs = np.array([q.emb_scale for q in queries])
     ys = np.array([q.op_scale for q in queries])
-    cand_wafer = np.array([b.candidate_wafer_g for b in bases])
-    cand_dies = np.array([b.candidate_dies_per_wafer for b in bases])
-    cand_op_pm = np.array([b.candidate_op_per_month_g for b in bases])
-    base_wafer = np.array([b.baseline_wafer_g for b in bases])
-    base_dies = np.array([b.baseline_dies_per_wafer for b in bases])
-    base_yield = np.array([b.baseline_yield for b in bases])
-    base_op_pm = np.array([b.baseline_op_per_month_g for b in bases])
-    t_ratio = np.array([b.execution_time_ratio for b in bases])
-
-    # Scenario sheet: row 0 nominal, rows 1..6 the paper perturbations
-    # in paper_perturbations() order (+6mo, -6mo, CIx3, CI/3, yield
-    # low/high) — the same transforms the scalar control applies.
-    ones = np.ones(n)
-    scen_lts = np.stack(
-        [lts, lts + 6.0, np.maximum(0.0, lts - 6.0), lts, lts, lts, lts]
-    )
-    scen_cis = np.stack(
-        [cis, cis, cis, cis * 3.0, cis / 3.0, cis, cis]
-    )
-    scen_yields = np.stack(
-        [yields, yields, yields, yields, yields, 0.10 * ones, 0.90 * ones]
-    )
-    cand_emb, cand_op, base_emb, base_op = batched_scenario_components(
-        cand_wafer,
-        cand_dies,
-        scen_yields,
-        cand_op_pm,
-        base_wafer,
-        base_dies,
-        base_yield,
-        base_op_pm,
-        scen_lts,
-        scen_cis,
-    )
-    base_tcdp = (base_emb + base_op) * 1.0
     ratios = batched_ratio_points(
-        cand_emb, cand_op, t_ratio, base_tcdp, xs, ys
+        cand_emb, cand_op, family.execution_time_ratio, base_tcdp, xs, ys
     )
 
-    # Isoline position (nominal scenario only), matching the scalar
-    # isoline_emb_scale / isoline_op_scale op order.
-    target = base_tcdp[0] / t_ratio
+    # Isoline position (nominal scenario at the query's lifetime only),
+    # matching the scalar isoline_emb_scale / isoline_op_scale op order.
+    target = base_tcdp[0, 0] / batch.execution_time_ratio
     with np.errstate(invalid="ignore"):
-        iso_emb = (target - ys * cand_op[0]) / cand_emb[0]
+        iso_emb = (target - ys * cand_op[0, 0]) / cand_emb[0, 0]
     iso_emb = np.where(iso_emb >= 0, iso_emb, np.nan)
-    iso_op = (target - xs * cand_emb[0]) / cand_op[0]
+    iso_op = (target - xs * cand_emb[0, 0]) / cand_op[0, 0]
     iso_op = np.where(iso_op >= 0, iso_op, np.nan)
-
-    # Fig. 5 sheet under Fig. 6b uncertainty: every scenario row
-    # re-evaluated along the lifetime axis as one (7, n, months) tensor.
-    # Row 0 sets the lifetime to each axis month; rows 1..6 apply the
-    # perturbation to that month-scenario (lifetime shifts move along
-    # the axis, CI/yield perturbations transform in place) — mirroring
-    # the scalar path's pert.apply(replace(params, lifetime_months=m)).
-    months = np.array(LIFETIME_AXIS_MONTHS)[None, None, :]
-    sheet_lts = np.concatenate(
-        [
-            np.broadcast_to(months, (1, n, months.shape[2])),
-            np.broadcast_to(months + 6.0, (1, n, months.shape[2])),
-            np.broadcast_to(
-                np.maximum(0.0, months - 6.0), (1, n, months.shape[2])
-            ),
-            np.broadcast_to(months, (4, n, months.shape[2])),
-        ]
-    )
-    sheet_cis = np.stack(
-        [cis, cis, cis, cis * 3.0, cis / 3.0, cis, cis]
-    )[:, :, None]
-    sheet_yields = np.stack(
-        [yields, yields, yields, yields, yields, 0.10 * ones, 0.90 * ones]
-    )[:, :, None]
-    m_cand_emb, m_cand_op, m_base_emb, m_base_op = (
-        batched_scenario_components(
-            cand_wafer[None, :, None],
-            cand_dies[None, :, None],
-            sheet_yields,
-            cand_op_pm[None, :, None],
-            base_wafer[None, :, None],
-            base_dies[None, :, None],
-            base_yield[None, :, None],
-            base_op_pm[None, :, None],
-            sheet_lts,
-            sheet_cis,
-        )
-    )
-    month_sheets = batched_ratio_points(
-        m_cand_emb,
-        m_cand_op,
-        t_ratio[None, :, None],
-        (m_base_emb + m_base_op) * 1.0,
-        xs[None, :, None],
-        ys[None, :, None],
-    )
 
     return [
         _point_response(
-            queries[i],
-            float(yields[i]),
-            float(cand_emb[0, i]),
-            float(cand_op[0, i]),
-            # Baseline embodied carbon is scenario-independent (the
-            # perturbations touch lifetime/CI/candidate yield only), so
-            # batched_scenario_components leaves it un-broadcast at (n,).
-            float(base_emb[i]),
-            float(base_op[0, i]),
-            float(t_ratio[i]),
-            float(ratios[0, i]),
+            query,
+            scenario,
+            float(ratios[0, 0, i]),
             float(iso_emb[i]),
             float(iso_op[i]),
-            ratios[1:, i],
-            month_sheets[:, i, :],
+            ratios[1:, 0, i].tolist(),
+            ratios[:, 1:, i].tolist(),
         )
-        for i in range(n)
+        for i, (query, scenario) in enumerate(zip(queries, scenarios))
     ]
 
 
@@ -713,15 +578,7 @@ def evaluate_grid(
     shared warm :class:`~repro.runtime.cache.SweepCache` when one is
     configured.
     """
-    point = PointQuery(
-        grid=query.grid,
-        clock_mhz=query.clock_mhz,
-        lifetime_months=query.lifetime_months,
-        ci_use_scale=query.ci_use_scale,
-        candidate_yield=query.candidate_yield,
-    )
-    base = context.base(query.grid, query.clock_mhz)
-    params = base.scenario(point)
+    params = context.scenario(query)
     tmap = params.tradeoff_map()
     xs = np.array(query.emb_scales)
     ys = np.array(query.op_scales)

@@ -54,6 +54,97 @@ class TestScenarioParameters:
             replace(nominal, ci_use_scale=-0.5)
 
 
+class TestArrayScenarios:
+    """Array-valued fields: the scalar model, element for element."""
+
+    LIFETIMES = np.array([0.0, 2.0, 6.0, 24.0, 60.0])
+
+    def test_components_match_scalar_bit_for_bit(self, nominal):
+        from dataclasses import replace
+
+        yields = np.array([0.1, 0.35, 0.5, 0.9, 1.0])
+        cis = np.array([0.2, 1.0, 1.0, 3.0, 7.5])
+        batch = replace(
+            nominal,
+            lifetime_months=self.LIFETIMES,
+            ci_use_scale=cis,
+            candidate_yield=yields,
+        )
+        got = batch.components()
+        for i in range(yields.size):
+            scalar = replace(
+                nominal,
+                lifetime_months=float(self.LIFETIMES[i]),
+                ci_use_scale=float(cis[i]),
+                candidate_yield=float(yields[i]),
+            ).components()
+            for array, value in zip(got, scalar):
+                assert np.broadcast_to(array, yields.shape)[i] == value
+
+    def test_perturbations_broadcast(self, nominal):
+        from dataclasses import replace
+
+        batch = replace(nominal, lifetime_months=self.LIFETIMES)
+        for pert in paper_perturbations():
+            applied = pert.apply(batch)
+            for i, lifetime in enumerate(self.LIFETIMES):
+                scalar = pert.apply(
+                    replace(nominal, lifetime_months=float(lifetime))
+                )
+                assert np.broadcast_to(
+                    applied.lifetime_months, self.LIFETIMES.shape
+                )[i] == scalar.lifetime_months
+                assert applied.ci_use_scale == scalar.ci_use_scale
+                assert applied.candidate_yield == scalar.candidate_yield
+
+    def test_lifetime_clamp_keeps_floats_scalar(self, nominal):
+        from dataclasses import replace
+
+        minus = paper_perturbations()[1]
+        assert type(minus.apply(nominal).lifetime_months) is float
+        clamped = minus.apply(replace(nominal, lifetime_months=self.LIFETIMES))
+        assert clamped.lifetime_months.tolist() == [0.0, 0.0, 0.0, 18.0, 54.0]
+
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            ("candidate_yield", [0.5, 0.0]),
+            ("candidate_yield", [1.5, 0.5]),
+            ("candidate_yield", [0.5, float("nan")]),
+            ("baseline_yield", [0.9, -0.1]),
+            ("lifetime_months", [24.0, -1.0]),
+            ("ci_use_scale", [-0.5, 1.0]),
+        ],
+    )
+    def test_validation_holds_for_every_element(self, nominal, field, values):
+        from dataclasses import replace
+
+        with pytest.raises(CarbonModelError):
+            replace(nominal, **{field: np.array(values)})
+
+    def test_stack_rows_are_the_scenarios(self, nominal):
+        from dataclasses import replace
+
+        members = [nominal] + [p.apply(nominal) for p in paper_perturbations()]
+        family = ScenarioParameters.stack(members)
+        assert family.lifetime_months.shape == (7,)
+        # A field no member changes is shared, not copied.
+        assert family.baseline_wafer_g is nominal.baseline_wafer_g
+        stacked = family.components()
+        for i, member in enumerate(members):
+            for array, value in zip(stacked, member.components()):
+                assert np.broadcast_to(array, (7,))[i] == value
+        # Rows gain a leading axis over the first scenario's broadcast
+        # shape, so every field of the result broadcasts together.
+        grid = replace(nominal, lifetime_months=np.ones((3, 2)))
+        stacked = ScenarioParameters.stack(
+            [grid, replace(grid, ci_use_scale=2.0)]
+        )
+        assert stacked.ci_use_scale.shape == (2, 3, 2)
+        assert stacked.ci_use_scale[:, 0, 0].tolist() == [1.0, 2.0]
+        assert stacked.lifetime_months.shape == (3, 2)
+
+
 class TestPaperPerturbations:
     def test_six_perturbations(self):
         perts = paper_perturbations()
@@ -319,12 +410,3 @@ class TestNominalMapReuse:
         wins = np.stack([g < 1.0 for g in grids])
         assert np.array_equal(regions["candidate_always"], wins.all(axis=0))
         assert np.array_equal(regions["baseline_always"], ~wins.any(axis=0))
-
-    def test_robust_regions_parallel_matches_serial(self, nominal):
-        xs = np.linspace(0.1, 3.0, 8)
-        ys = np.linspace(0.1, 3.0, 6)
-        analysis = IsolineUncertaintyAnalysis(nominal)
-        serial = analysis.robust_regions(xs, ys, jobs=1)
-        fanned = analysis.robust_regions(xs, ys, jobs=2)
-        for key in serial:
-            assert np.array_equal(serial[key], fanned[key])

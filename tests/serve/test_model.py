@@ -163,11 +163,13 @@ def test_point_response_schema_and_ratio(warm_context):
     response = evaluate_point_scalar(warm_context, query)
     assert response["schema"] == "ppatc-point/1"
     # The nominal ratio must equal the core trade-off map exactly.
-    base = warm_context.base("us", 500.0)
-    tmap = base.scenario(query).tradeoff_map()
+    tmap = warm_context.scenario(query).tradeoff_map()
     assert response["tcdp_ratio"] == tmap.ratio(1.0, 1.0)
     assert response["candidate_wins"] == (response["tcdp_ratio"] < 1.0)
-    assert response["query"]["candidate_yield"] == base.candidate_yield
+    assert (
+        response["query"]["candidate_yield"]
+        == warm_context.nominal("us", 500.0).candidate_yield
+    )
     assert len(response["robustness"]["ratios"]) == 6
     assert len(response["lifetime"]["months"]) == len(LIFETIME_AXIS_MONTHS)
     lifetime = response["lifetime"]
@@ -243,8 +245,7 @@ def test_grid_matches_core_tradeoff_map(warm_context):
     )
     response = evaluate_grid(warm_context, query)
     assert response["schema"] == "ppatc-grid/1"
-    base = warm_context.base("us", 500.0)
-    params = base.scenario(PointQuery.from_payload({"grid": "us"}))
+    params = warm_context.scenario(PointQuery.from_payload({"grid": "us"}))
     tmap = params.tradeoff_map()
     assert isinstance(tmap, TcdpTradeoffMap)
     expected = tmap.ratio_grid(
@@ -278,8 +279,7 @@ def test_grid_monte_carlo_matches_core_and_uses_cache(
         }
     )
     response = evaluate_grid(context, query)
-    base = context.base("us", 500.0)
-    params = base.scenario(PointQuery.from_payload({"grid": "us"}))
+    params = context.scenario(PointQuery.from_payload({"grid": "us"}))
     expected = monte_carlo_win_probability(
         params,
         np.array([0.5, 1.0, 1.5]),
