@@ -113,34 +113,8 @@ class VirtualSourceFET(FET):
     def vdd_v(self) -> float:
         return self.params.vdd_v
 
-    def _charge_per_um(self, vgs: float, vds: float) -> float:
-        """Virtual-source charge Q_ix0 (C/um) with DIBL."""
-        p = self.params
-        vt_eff = p.vt0_v - p.dibl_v_per_v * vds
-        eta = (vgs - vt_eff) / (p.n_ss * p.phi_t)
-        # Softplus, overflow-safe.
-        if eta > 40.0:
-            softplus = eta
-        else:
-            softplus = math.log1p(math.exp(eta))
-        q_per_um2 = p.c_inv_f_per_um2 * p.n_ss * p.phi_t * softplus
-        return q_per_um2 * p.l_gate_um
-
     def _ids_forward_per_um(self, vgs: float, vds: float) -> float:
-        p = self.params
-        if vds == 0.0:  # repro-lint: disable=RPL004 - exact singular point
-            return 0.0
-        vdsat = max(p.v_dsat_v, 1e-6)
-        ratio = vds / vdsat
-        f_sat = ratio / (1.0 + ratio**p.beta_sat) ** (1.0 / p.beta_sat)
-        # Charge (C/um^2) * velocity (cm/s -> um/s) gives A/um.
-        q_per_um2 = self._charge_per_um(vgs, vds) / p.l_gate_um
-        v_um_per_s = p.v_x0_cm_per_s * 1e4
-        intrinsic = q_per_um2 * v_um_per_s * f_sat
-        # The leakage floor only matters in the off state; make it decay
-        # smoothly so I(vds=0) remains 0.
-        floor = p.i_leak_floor_a_per_um * (1.0 - math.exp(-vds / p.phi_t))
-        return intrinsic + floor
+        return _forward_per_um(self.params)(vgs, vds)
 
     def gate_capacitance_f(self) -> float:
         return self.params.c_gate_f_per_um * self.width_um
@@ -154,49 +128,21 @@ class VirtualSourceFET(FET):
         """A fused ``kernel(vgs, vds) -> (ids, gm, gds)`` for the circuit
         simulator's Newton loop.
 
-        ``ids`` is :meth:`ids` bit for bit: the parameter-only
-        subexpressions of :meth:`_charge_per_um` and
-        :meth:`_ids_forward_per_um` are evaluated once, here, and the
-        per-bias operations keep their order (a hoisted constant is
-        always a left-most factor).  gm and gds are central differences
-        with step ``dv``.  Parameters, polarity and width are read when
-        the kernel is built.  The kernel is scalar by design, hence its
-        RPL013/RPL014 pragmas; ``tests/devices/test_virtual_source.py``
-        pins it to :meth:`ids` bit for bit.
+        ``ids`` is :meth:`ids` bit for bit: both run
+        :func:`_forward_per_um`, and the reflection below is
+        :meth:`FET.ids`'s.  gm and gds are central differences with step
+        ``dv``.  Parameters, polarity and width are read when the kernel
+        is built.  The kernel is scalar by design, hence its RPL014
+        pragma; ``tests/devices/test_virtual_source.py`` pins it to
+        :meth:`ids` bit for bit.
         """
-        p = self.params
-        vt0, dibl = p.vt0_v, p.dibl_v_per_v
-        n_phi_t = p.n_ss * p.phi_t
-        q_scale = p.c_inv_f_per_um2 * p.n_ss * p.phi_t
-        l_gate = p.l_gate_um
-        vdsat = max(p.v_dsat_v, 1e-6)
-        beta = p.beta_sat
-        inv_beta = 1.0 / beta
-        v_um_per_s = p.v_x0_cm_per_s * 1e4
-        leak, phi_t = p.i_leak_floor_a_per_um, p.phi_t
+        forward = _forward_per_um(self.params)
         sign, width = self.polarity.value, self.width_um
         two_dv = 2 * dv
 
-        def forward(vgs: float, vds: float) -> float:
-            if vds == 0.0:  # repro-lint: disable=RPL004,RPL014 - exact singular point, scalar Newton kernel
-                return 0.0
-            ratio = vds / vdsat
-            f_sat = ratio / (1.0 + ratio**beta) ** inv_beta
-            eta = (vgs - (vt0 - dibl * vds)) / n_phi_t
-            if eta > 40.0:  # repro-lint: disable=RPL014 - scalar Newton kernel
-                softplus = eta
-            else:
-                softplus = math.log1p(math.exp(eta))  # repro-lint: disable=RPL013 - scalar Newton kernel
-            # (q * L) / L as in _charge_per_um / _ids_forward_per_um:
-            # the division rounds, so it is kept.
-            q_per_um2 = q_scale * softplus * l_gate / l_gate
-            intrinsic = q_per_um2 * v_um_per_s * f_sat
-            floor = leak * (1.0 - math.exp(-vds / phi_t))  # repro-lint: disable=RPL013 - scalar Newton kernel
-            return intrinsic + floor
-
         def ids(vgs: float, vds: float) -> float:
             vgs_n, vds_n = sign * vgs, sign * vds
-            if vds_n >= 0:  # repro-lint: disable=RPL014 - scalar Newton kernel
+            if vds_n >= 0:  # repro-lint: disable=RPL014 - scalar FET kernel
                 current = forward(vgs_n, vds_n)
             else:
                 current = -forward(vgs_n - vds_n, -vds_n)
@@ -210,3 +156,48 @@ class VirtualSourceFET(FET):
             )
 
         return kernel
+
+
+def _forward_per_um(p: VSParameters):
+    """``forward(vgs, vds)``: the VS drain current (A/um) for
+    NMOS-convention ``vgs`` and ``vds >= 0``.
+
+    The one implementation of the model equations above.  The
+    parameter-only subexpressions are evaluated once, here, and the
+    per-bias operations keep the order of the equations (a hoisted
+    constant is always a left-most factor).  Nothing is cached across
+    calls: a FET's ``params`` may be reassigned (see
+    :mod:`repro.edram.variation`).
+    """
+    vt0, dibl = p.vt0_v, p.dibl_v_per_v
+    n_phi_t = p.n_ss * p.phi_t
+    q_scale = p.c_inv_f_per_um2 * p.n_ss * p.phi_t
+    l_gate = p.l_gate_um
+    vdsat = max(p.v_dsat_v, 1e-6)
+    beta = p.beta_sat
+    inv_beta = 1.0 / beta
+    v_um_per_s = p.v_x0_cm_per_s * 1e4
+    leak, phi_t = p.i_leak_floor_a_per_um, p.phi_t
+
+    def forward(vgs: float, vds: float) -> float:
+        if vds == 0.0:  # repro-lint: disable=RPL004,RPL014 - exact singular point, scalar FET kernel
+            return 0.0
+        ratio = vds / vdsat
+        f_sat = ratio / (1.0 + ratio**beta) ** inv_beta
+        # DIBL-lowered threshold; softplus charge, overflow-safe.
+        eta = (vgs - (vt0 - dibl * vds)) / n_phi_t
+        if eta > 40.0:  # repro-lint: disable=RPL014 - scalar FET kernel
+            softplus = eta
+        else:
+            softplus = math.log1p(math.exp(eta))  # repro-lint: disable=RPL013 - scalar FET kernel
+        # Charge Q_ix0 (C/um) back to C/um^2: the division rounds, so the
+        # (q * L) / L pair is kept.
+        q_per_um2 = q_scale * softplus * l_gate / l_gate
+        # Charge (C/um^2) * velocity (cm/s -> um/s) gives A/um.
+        intrinsic = q_per_um2 * v_um_per_s * f_sat
+        # The leakage floor only matters in the off state; make it decay
+        # smoothly so I(vds=0) remains 0.
+        floor = leak * (1.0 - math.exp(-vds / phi_t))  # repro-lint: disable=RPL013 - scalar FET kernel
+        return intrinsic + floor
+
+    return forward
