@@ -1,4 +1,4 @@
-"""Shared fixtures for the observability tests.
+"""Fixtures shared across test packages.
 
 The obs singletons are process-global, so every test that touches them
 runs inside a save/restore fixture: prior enabled state is restored and

@@ -6,12 +6,15 @@ A circuit compiles on its first analysis and recompiles after
 must match a freshly built circuit bit for bit.
 """
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.devices import si_nfet, si_pfet
+from repro.errors import ConvergenceError
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -24,7 +27,10 @@ from repro.spice import (
     transient,
 )
 from repro.spice.dc import dc_sweep
-from repro.spice.mna import _max_abs
+from repro.spice.mna import DEFAULT_GMIN, _max_abs, newton_solve
+
+# The package re-exports the ``transient`` function under the module's name.
+transient_module = importlib.import_module("repro.spice.transient")
 
 
 def _rc_stage(circuit: Circuit) -> Circuit:
@@ -100,6 +106,56 @@ class TestAssemblerCache:
                 for k in point
             )
             guess = fresh
+
+
+class TestHalfStepRetry:
+    """A full step that fails to converge is retried as two half steps."""
+
+    DT = 2e-12
+    FAILING_STEP = 15  # on the input edge (delay 20 ps, rise 10 ps)
+
+    def test_retry_counted_and_stored(self, clean_obs, monkeypatch):
+        circuit = _rc_stage(Circuit("rc"))
+        fail_at = self.FAILING_STEP * self.DT
+        failed = []
+
+        def flaky_newton(circuit, v0, t, dt, v_prev, gmin=DEFAULT_GMIN):
+            if dt == self.DT and math.isclose(t, fail_at) and not failed:
+                failed.append(t)
+                raise ConvergenceError("injected full-step failure")
+            return newton_solve(circuit, v0, t=t, dt=dt, v_prev=v_prev, gmin=gmin)
+
+        monkeypatch.setattr(transient_module, "newton_solve", flaky_newton)
+        with obs.enabled_scope():
+            result = transient(
+                circuit, t_stop=0.1e-9, dt=self.DT, use_dc_start=False
+            )
+            counters = obs.get_metrics().snapshot()["counters"]
+        assert len(failed) == 1
+        assert circuit.solver_counts.half_step_retries == 1
+        assert counters["spice.half_step_retries"] == 1
+
+        # The stored step is the two half-step solves from the step
+        # before, bit for bit.
+        k = self.FAILING_STEP
+        index = circuit.unknown_index()
+        offsets = circuit.branch_offsets()
+        v_prev = np.zeros(circuit.n_unknowns())
+        for node, idx in index.items():
+            if idx >= 0:
+                v_prev[idx] = result.node_voltages[node][k - 1]
+        for name, off in offsets.items():
+            v_prev[off] = result.branch_currents[name][k - 1]
+        t = result.times[k]
+        half = newton_solve(
+            circuit, v_prev, t=t - self.DT / 2, dt=self.DT / 2, v_prev=v_prev
+        )
+        expected = newton_solve(circuit, half, t=t, dt=self.DT / 2, v_prev=half)
+        for node, idx in index.items():
+            if idx >= 0:
+                assert result.node_voltages[node][k] == expected[idx]
+        for name, off in offsets.items():
+            assert result.branch_currents[name][k] == expected[off]
 
 
 class TestSourceStepping:
