@@ -53,12 +53,14 @@ def test_bench_iss(output_dir):
     suite = data["suite_study"]
     assert suite["warm_under_5s"]
     assert suite["warm_cache_hits"] >= 8
-    # Parallel must not lose to serial beyond noise.  On a single-CPU
-    # host the pool would collapse to one worker and the "comparison"
-    # would be a serial rerun measured twice, so the bench skips it
-    # and flags the skip instead.
+    # Parallel must not lose to serial: the cold-suite walls are the
+    # medians of alternating serial/parallel pairs, all recorded.  On a
+    # single-CPU host the pool would collapse to one worker and the
+    # "comparison" would be a serial rerun measured twice, so the bench
+    # skips it and flags the skip instead.
     if suite["parallel_comparison_valid"]:
         assert suite["parallel_jobs"] > 1
+        assert len(suite["parallel_pairs"]) >= 5
         assert (
             suite["parallel_cold_wall_seconds"]
             < suite["serial_cold_wall_seconds"]

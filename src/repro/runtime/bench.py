@@ -16,8 +16,9 @@ quoted against the legacy interpreter, the single reference engine:
   seed-parameterized matmul variants (aggregate MIPS and speedup over
   the measured superblock MIPS), and an 8-variant suite run through
   :func:`~repro.runtime.parallel.run_workloads_vector`,
-- suite study wall times: serial cold, parallel cold (skipped on
-  single-CPU hosts, where the comparison is meaningless), warm-cache,
+- suite study wall times: serial cold vs parallel cold as the medians
+  of alternating pairs (skipped on single-CPU hosts, where the
+  comparison is meaningless), warm-cache,
 - single-entry cache hit/miss timings.
 
 Run it via ``python -m repro.cli bench-iss`` or the benchmarks suite.
@@ -30,6 +31,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -40,6 +42,9 @@ from repro.cpu.trace import ActivityTrace
 from repro.runtime.cache import ISS_VERSION, ResultCache, run_workload_cached
 from repro.workloads import matmul_int
 from repro.workloads.suite import run_workload
+
+#: Alternating serial/parallel pairs of the cold suite study.
+SUITE_PAIRS = 6
 
 
 @contextlib.contextmanager
@@ -222,23 +227,36 @@ def run_bench(
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         bench_cache = ResultCache(Path(tmp))
 
-        start = time.perf_counter()
-        run_suite_study(cache=False, jobs=1)
-        serial_cold = time.perf_counter() - start
+        def cold_suite(jobs: Optional[int]) -> float:
+            start = time.perf_counter()
+            run_suite_study(cache=False, jobs=jobs)
+            return time.perf_counter() - start
 
         # The serial/parallel comparison is only meaningful when the
         # pool actually gets more than one worker.  On a single-CPU
         # host it collapses to a serial rerun, so skip the measurement
-        # rather than publish a same-vs-same "comparison".
+        # rather than publish a same-vs-same "comparison".  Otherwise
+        # run alternating pairs, each arm going first in half of them,
+        # so warm-up and host drift land on both arms alike.
         from repro.runtime.parallel import resolve_jobs
 
         cpus = os.cpu_count() or 1
         parallel_jobs = resolve_jobs(None, 8)
         parallel_cold: Optional[float] = None
+        pairs = []
         if parallel_jobs > 1:
-            start = time.perf_counter()
-            run_suite_study(cache=False, jobs=None)
-            parallel_cold = time.perf_counter() - start
+            for i in range(SUITE_PAIRS):
+                if i % 2 == 0:
+                    serial = cold_suite(1)
+                    parallel = cold_suite(None)
+                else:
+                    parallel = cold_suite(None)
+                    serial = cold_suite(1)
+                pairs.append({"serial_s": serial, "parallel_s": parallel})
+            serial_cold = statistics.median(p["serial_s"] for p in pairs)
+            parallel_cold = statistics.median(p["parallel_s"] for p in pairs)
+        else:
+            serial_cold = cold_suite(1)
 
         start = time.perf_counter()
         run_suite_study(cache=bench_cache)  # cold: primes the cache
@@ -253,6 +271,10 @@ def run_bench(
             "cpus_available": cpus,
             "serial_cold_wall_seconds": serial_cold,
             "parallel_cold_wall_seconds": parallel_cold,
+            "parallel_pairs": pairs,
+            "parallel_pair_wins": sum(
+                p["parallel_s"] < p["serial_s"] for p in pairs
+            ),
             "parallel_jobs": parallel_jobs,
             "parallel_comparison_valid": parallel_jobs > 1,
             "cold_prime_wall_seconds": prime_wall,
