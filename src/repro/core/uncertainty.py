@@ -121,19 +121,19 @@ class ScenarioParameters:
         shape = np.broadcast(
             *[getattr(first, name) for name in _SCENARIO_FIELDS]
         ).shape
-        fields = {}
+        stacked = {}
         for name in _SCENARIO_FIELDS:
             values = [getattr(s, name) for s in scenarios]
             if all(v is values[0] for v in values):
-                fields[name] = values[0]
+                stacked[name] = values[0]
             elif not shape:
-                fields[name] = np.array(values, dtype=float)
+                stacked[name] = np.array(values, dtype=float)
             else:
                 rows = np.empty((len(values),) + shape)
                 for i, value in enumerate(values):
                     rows[i] = value
-                fields[name] = rows
-        return cls(**fields)
+                stacked[name] = rows
+        return cls(**stacked)
 
     def components(self) -> Tuple[Any, Any, Any, Any]:
         """``(candidate embodied, candidate operational, baseline
