@@ -520,6 +520,8 @@ def evaluate_points_batched(
     byte-identical to :func:`evaluate_point_scalar` regardless of batch
     size.
     """
+    if not queries:
+        return []
     scenarios = [context.scenario(q) for q in queries]
     batch = ScenarioParameters.stack(scenarios)
     # Lifetime row 0 is the query's lifetime, rows 1.. the Fig. 5

@@ -137,6 +137,10 @@ def test_single_element_batch_matches_scalar(warm_context):
     assert canonical(scalar) == canonical(batched)
 
 
+def test_empty_batch_is_empty(warm_context):
+    assert evaluate_points_batched(warm_context, []) == []
+
+
 def test_batch_result_independent_of_batch_composition(warm_context):
     queries = random_queries(seed=55, n=16)
     alone = [
