@@ -126,8 +126,6 @@ class ScenarioParameters:
             values = [getattr(s, name) for s in scenarios]
             if all(v is values[0] for v in values):
                 stacked[name] = values[0]
-            elif not shape:
-                stacked[name] = np.array(values, dtype=float)
             else:
                 rows = np.empty((len(values),) + shape)
                 for i, value in enumerate(values):
@@ -166,12 +164,6 @@ class ScenarioParameters:
             ),
             TcdpOperatingPoint(base_emb, base_op, execution_time_s=1.0),
         )
-
-    def candidate_point(self) -> TcdpOperatingPoint:
-        return self.points()[0]
-
-    def baseline_point(self) -> TcdpOperatingPoint:
-        return self.points()[1]
 
     def tradeoff_map(self) -> TcdpTradeoffMap:
         """The trade-off map for these parameters, memoized.
@@ -313,13 +305,22 @@ class IsolineUncertaintyAnalysis:
         cand_emb, cand_op, base_emb, base_op = (
             np.broadcast_to(c, (len(members),)) for c in family.components()
         )
+        time_ratio = np.broadcast_to(
+            family.execution_time_ratio, (len(members),)
+        )
+        # The checks TcdpOperatingPoint and TcdpTradeoffMap make on one
+        # scenario, made here for every member.
+        if np.any(cand_emb < 0) or np.any(cand_op < 0):
+            raise CarbonModelError("carbon components must be >= 0")
+        if np.any(time_ratio <= 0):
+            raise CarbonModelError("execution time must be > 0")
+        if np.any(base_emb < 0) or np.any(base_op < 0):
+            raise CarbonModelError("carbon components must be >= 0")
+        base_tcdp = (base_emb + base_op) * 1.0  # baseline execution time is 1 s
+        if np.any(base_tcdp == 0):
+            raise CarbonModelError("baseline tCDP must be non-zero")
         ratios = batched_ratio_grid(
-            cand_emb,
-            cand_op,
-            np.broadcast_to(family.execution_time_ratio, (len(members),)),
-            (base_emb + base_op) * 1.0,  # baseline execution time is 1 s
-            emb_scales,
-            op_scales,
+            cand_emb, cand_op, time_ratio, base_tcdp, emb_scales, op_scales
         )
         candidate_always = np.all(ratios < 1.0, axis=0)
         baseline_always = np.all(ratios >= 1.0, axis=0)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.uncertainty import (
     IsolineUncertaintyAnalysis,
     MonteCarloSamples,
+    ParameterPerturbation,
     ScenarioParameters,
     draw_monte_carlo_samples,
     monte_carlo_win_probability,
@@ -33,8 +34,7 @@ def nominal():
 
 class TestScenarioParameters:
     def test_points_reproduce_paper(self, nominal):
-        c = nominal.candidate_point()
-        b = nominal.baseline_point()
+        c, b = nominal.points()
         assert c.embodied_g == pytest.approx(3.63, abs=0.01)
         assert b.embodied_g == pytest.approx(3.11, abs=0.01)
         assert c.operational_g == pytest.approx(4.70, abs=0.01)
@@ -228,6 +228,30 @@ class TestIsolineFamilies:
         ys = np.linspace(0.1, 3.0, 40)
         regions = analysis.robust_regions(xs, ys)
         assert regions["uncertain"].any()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"baseline_wafer_g": 0.0, "baseline_op_per_month_g": 0.0},
+            {"candidate_wafer_g": -1.0},
+            {"baseline_op_per_month_g": -0.1},
+            {"execution_time_ratio": 0.0},
+        ],
+        ids=["zero-baseline", "neg-candidate", "neg-baseline", "zero-time"],
+    )
+    def test_robust_regions_reject_invalid_perturbation(
+        self, nominal, changes
+    ):
+        """A perturbation the trade-off map would refuse raises, rather
+        than landing inf/nan ratios in the uncertain band."""
+        from dataclasses import replace
+
+        bad = ParameterPerturbation("bad", lambda p: replace(p, **changes))
+        analysis = IsolineUncertaintyAnalysis(
+            nominal, paper_perturbations() + [bad]
+        )
+        with pytest.raises(CarbonModelError):
+            analysis.robust_regions(np.array([1.0]), np.array([1.0]))
 
 
 class TestMonteCarlo:
